@@ -3,8 +3,11 @@
 
 Runs every shipped configuration (three dimensions, both dual-norm
 variants, both field degrees, plus the adaptive runs in 2d) and writes
-one CSV per configuration into the output directory.  With default level
-caps the whole sweep takes a few minutes on a laptop.
+one CSV per configuration into the output directory, a row at a time.  A
+solver or eigenvalue failure ends that table early, keeping the rows written
+so far; the sweep goes on with the next configuration and exits with
+status 3.  With default level caps the whole sweep takes a few minutes on a
+laptop.
 """
 
 import argparse
@@ -14,7 +17,8 @@ import sys
 import time
 from pathlib import Path
 
-from quasidiag.experiments import ExperimentConfig, format_row, run_experiment, write_csv
+from quasidiag.errors import EigsNotConverged, SolverFailure
+from quasidiag.experiments import ExperimentConfig, csv_writer, format_row, run_experiment
 
 
 def configurations():
@@ -50,6 +54,7 @@ def main(argv=None):
         return 2
 
     grand_start = time.perf_counter()
+    failed = []
     for cfg in chosen:
         if args.levels is not None:
             cfg = dataclasses.replace(cfg, levels=args.levels)
@@ -58,15 +63,27 @@ def main(argv=None):
         if not args.quiet:
             print(f"== {name}")
 
-        def echo(row):
-            if not args.quiet:
-                print("   " + format_row(row))
+        with open(out_dir / f"{name}.csv", "w", encoding="ascii", newline="\n") as stream:
+            write_row = csv_writer(stream)
 
-        rows = run_experiment(cfg, row_callback=echo)
-        write_csv(rows, out_dir / f"{name}.csv")
+            def emit(row):
+                write_row(row)
+                if not args.quiet:
+                    print("   " + format_row(row))
+
+            try:
+                run_experiment(cfg, row_callback=emit)
+            except (SolverFailure, EigsNotConverged) as exc:
+                print(f"{name}: {exc}; the table keeps the rows before it",
+                      file=sys.stderr)
+                failed.append(name)
     elapsed = time.perf_counter() - grand_start
     if not args.quiet:
         print(f"wrote {len(chosen)} tables to {out_dir} in {elapsed:.1f}s")
+    if failed:
+        print(f"{len(failed)} table(s) stopped early: {', '.join(failed)}",
+              file=sys.stderr)
+        return 3
     return 0
 
 

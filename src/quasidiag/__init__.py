@@ -27,6 +27,7 @@ from .experiments import (
     CSV_HEADER,
     ExperimentConfig,
     ExperimentRow,
+    csv_writer,
     format_row,
     read_csv,
     run_experiment,
@@ -48,10 +49,7 @@ from .mesh import (
     validate_mesh,
 )
 from .precond import (
-    BlockDiag,
-    DiagonalScaling,
     Preconditioner,
-    QuasiDiagonal,
     build_C,
     build_D,
     build_Dp,
@@ -74,7 +72,6 @@ from .refine import (
 from .spectral import (
     GramOperator,
     SpectralReport,
-    apply_A,
     dense_action,
     dense_condition_number,
     extreme_eigs,

@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .errors import ConfigError, EigsNotConverged, SolverFailure
-from .experiments import CSV_HEADER, ExperimentConfig, format_row, run_experiment
+from .experiments import ExperimentConfig, csv_writer, run_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,7 +60,6 @@ def main(argv=None) -> int:
         tol=args.tol,
         max_iter=args.max_iter,
         seed=args.seed,
-        out=args.out,
         dump_matrices=args.dump_matrices,
     ).resolved()
     try:
@@ -69,16 +68,9 @@ def main(argv=None) -> int:
         print(f"quasidiag: {exc}", file=sys.stderr)
         return 2
 
-    stream = sys.stdout if config.out is None else open(config.out, "w", encoding="ascii")
+    stream = sys.stdout if args.out is None else open(args.out, "w", encoding="ascii")
     try:
-        stream.write(CSV_HEADER + "\n")
-        stream.flush()
-
-        def emit(row):
-            stream.write(format_row(row) + "\n")
-            stream.flush()
-
-        run_experiment(config, row_callback=emit)
+        run_experiment(config, row_callback=csv_writer(stream))
     except (SolverFailure, EigsNotConverged) as exc:
         print(f"quasidiag: {exc}", file=sys.stderr)
         return 3

@@ -64,7 +64,6 @@ class ExperimentConfig:
     tol: float = 1e-6
     max_iter: int = 2000
     seed: int = 0
-    out: str | None = None
     dump_matrices: str | None = None
     with_diag: bool = True
 
@@ -123,12 +122,28 @@ def format_row(row: ExperimentRow) -> str:
     )
 
 
+def csv_writer(stream):
+    """Write the header to ``stream``; return a function writing one row.
+
+    Every line is flushed as it is written, so a run that stops early
+    leaves the header and the rows finished so far.
+    """
+    stream.write(CSV_HEADER + "\n")
+    stream.flush()
+
+    def write_row(row: ExperimentRow) -> None:
+        stream.write(format_row(row) + "\n")
+        stream.flush()
+
+    return write_row
+
+
 def write_csv(rows, path) -> None:
     """Write header plus one line per row, newline-terminated."""
     with open(path, "w", encoding="ascii", newline="\n") as stream:
-        stream.write(CSV_HEADER + "\n")
+        write_row = csv_writer(stream)
         for row in rows:
-            stream.write(format_row(row) + "\n")
+            write_row(row)
 
 
 def read_csv(path) -> list[ExperimentRow]:

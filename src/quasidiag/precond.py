@@ -4,14 +4,20 @@ The central object is the facet-element incidence matrix I whose column for
 facet E holds the piecewise-constant divergence coefficients of the
 lowest-order Raviart-Thomas function attached to E: +|E|/|T+| on the first
 neighbour and -|E|/|T-| on the second, a single entry |E|/|T| on boundary
-facets.  Combined with the diagonal D = |E|^(-n/(n-1)) this yields
+facets.  Combined with the diagonal D = |E|^(-n/(n-1)) it gives the sparse
+matrix I D I^t, with at most n + 2 nonzeros per row.
 
-    apply(x) = I (D (I^t x))            (all facets)
-    apply(x) = alpha (1^t x) 1 + I (D (I^t x))   (interior facets only)
+Every preconditioner is one assembled sparse matrix S plus at most one
+rank-one coupling c, evaluated lazily:
 
-where the rank-one term is evaluated lazily.  Higher-order variants act
-block-wise with an extra diagonal on the bubble coefficients, and the
-comparison preconditioner is the inverse of the diagonal |T|^((n+2)/n).
+    apply(x) = S x + c (c^t x)
+
+- "hm1": S = I D I^t over all facets, no coupling;
+- "tilde": S = I D I^t over interior facets only, and c = sqrt(alpha) on
+  the characteristic functions, so that c c^t = alpha 1 1^t;
+- degree 1 joins the bubble diagonal Dp to S as a diagonal block, which
+  the coupling does not touch;
+- the comparison preconditioner is S = diag(|T|^(-(n+2)/n), Dp).
 """
 
 from __future__ import annotations
@@ -91,18 +97,30 @@ def build_C(mesh: SimplicialMesh) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# preconditioner objects
+# the preconditioner
 
 
 class Preconditioner:
-    """Symmetric positive definite action x -> P^{-1} x.
+    """Symmetric positive definite action x -> S x + c (c . x).
 
-    ``apply`` evaluates the preconditioner action; ``solve`` inverts it
-    (needed by inverse power iteration); ``to_dense`` materializes the
-    action for oracle comparisons.
+    ``matrix`` is the assembled sparse S; ``coupling`` is the optional
+    vector c of the rank-one term, kept out of S so that S stays sparse.
+    ``apply`` evaluates the action; ``solve`` inverts it (needed by inverse
+    power iteration) through a sparse LU factorization of S, or of the
+    bordered matrix [[S, c], [c^t, -1]] when a coupling is present, built
+    on first use; ``to_dense`` materializes the action for oracle
+    comparisons.
     """
 
-    dim: int
+    def __init__(self, matrix: sp.spmatrix, coupling=None):
+        self.matrix = matrix
+        self.dim = matrix.shape[0]
+        if coupling is not None:
+            coupling = np.asarray(coupling, dtype=float).ravel()
+            if coupling.size != self.dim:
+                raise DimensionError("coupling does not match the matrix size")
+        self.coupling = coupling
+        self._factor = None
 
     def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float).ravel()
@@ -111,111 +129,32 @@ class Preconditioner:
         return x
 
     def apply(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def solve(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def to_dense(self) -> np.ndarray:
-        basis = np.eye(self.dim)
-        cols = np.column_stack([self.apply(basis[:, k]) for k in range(self.dim)])
-        return 0.5 * (cols + cols.T)
-
-
-class DiagonalScaling(Preconditioner):
-    """Pointwise multiplication by a fixed positive diagonal."""
-
-    def __init__(self, action_diagonal):
-        diag = np.asarray(action_diagonal, dtype=float).ravel()
-        if diag.size and diag.min() <= 0.0:
-            raise DimensionError("diagonal preconditioner requires positive entries")
-        self.diagonal = diag
-        self.dim = diag.size
-
-    def apply(self, x):
-        return self.diagonal * self._check(x)
-
-    def solve(self, x):
-        return self._check(x) / self.diagonal
-
-    def to_dense(self):
-        return np.diag(self.diagonal)
-
-
-class QuasiDiagonal(Preconditioner):
-    """Action I D I^t plus an optional lazy rank-one term alpha * 1 1^t."""
-
-    def __init__(self, incidence: sp.spmatrix, facet_diagonal, alpha=None):
-        self.incidence = incidence.tocsr()
-        self.facet_diagonal = np.asarray(facet_diagonal, dtype=float).ravel()
-        if self.facet_diagonal.size != self.incidence.shape[1]:
-            raise DimensionError("facet diagonal does not match incidence columns")
-        if alpha is not None and alpha <= 0.0:
-            raise DimensionError("alpha must be positive")
-        self.alpha = alpha
-        self.dim = self.incidence.shape[0]
-        self._factor = None
-
-    def apply(self, x):
         x = self._check(x)
-        out = self.incidence @ (self.facet_diagonal * (self.incidence.T @ x))
-        if self.alpha is not None:
-            out = out + self.alpha * x.sum()
+        out = self.matrix @ x
+        if self.coupling is not None:
+            out += self.coupling * (self.coupling @ x)
         return out
 
-    def _matrix(self) -> sp.csr_matrix:
-        scaled = self.incidence @ sp.diags(self.facet_diagonal)
-        return (scaled @ self.incidence.T).tocsc()
-
-    def solve(self, x):
+    def solve(self, x) -> np.ndarray:
         x = self._check(x)
         if self._factor is None:
-            if self.alpha is None:
-                self._factor = splu(self._matrix())
-            else:
-                # bordered system: [S, 1; 1^t, -1/alpha][z; w] = [x; 0]
-                # eliminates to (S + alpha 1 1^t) z = x without densifying
-                S = self._matrix()
-                ones = np.ones((self.dim, 1))
-                aug = sp.bmat(
-                    [[S, ones], [ones.T, [[-1.0 / self.alpha]]]], format="csc"
-                )
-                self._factor = splu(aug)
-        if self.alpha is None:
+            matrix = self.matrix
+            if self.coupling is not None:
+                # [S, c; c^t, -1][z; w] = [x; 0] eliminates to (S + c c^t) z = x
+                column = sp.csc_matrix(self.coupling[:, None])
+                matrix = sp.bmat([[matrix, column], [column.T, [[-1.0]]]])
+            # S has symmetric structure, so order on A^t + A; partial
+            # pivoting stays on because the bordered matrix is indefinite
+            self._factor = splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        if self.coupling is None:
             return self._factor.solve(x)
         return self._factor.solve(np.append(x, 0.0))[:-1]
 
-
-class BlockDiag(Preconditioner):
-    """Concatenation of preconditioners acting on consecutive sub-vectors."""
-
-    def __init__(self, *blocks: Preconditioner):
-        self.blocks = blocks
-        self.dim = sum(b.dim for b in blocks)
-
-    def _split(self, x):
-        x = self._check(x)
-        out = []
-        start = 0
-        for b in self.blocks:
-            out.append(x[start : start + b.dim])
-            start += b.dim
-        return out
-
-    def apply(self, x):
-        return np.concatenate(
-            [b.apply(part) for b, part in zip(self.blocks, self._split(x))]
-        )
-
-    def solve(self, x):
-        return np.concatenate(
-            [b.solve(part) for b, part in zip(self.blocks, self._split(x))]
-        )
-
-    def to_dense(self):
-        import scipy.linalg
-
-        return scipy.linalg.block_diag(*[b.to_dense() for b in self.blocks])
+    def to_dense(self) -> np.ndarray:
+        dense = self.matrix.toarray()
+        if self.coupling is not None:
+            dense += np.outer(self.coupling, self.coupling)
+        return dense
 
 
 # ---------------------------------------------------------------------------
@@ -234,22 +173,28 @@ def quasi_diagonal_preconditioner(
     """Quasi-diagonal preconditioner of the requested dual-norm family.
 
     space "hm1" uses all facets; "tilde" restricts to interior facets and
-    adds the rank-one constant coupling weighted by alpha.  Degree 1 appends
-    the bubble diagonal as an independent block.
+    adds the rank-one constant coupling weighted by alpha on the
+    characteristic functions.  Degree 1 appends the bubble diagonal as an
+    independent block.
     """
     if space not in SPACES:
         raise DimensionError(f"space must be one of {SPACES}, got {space!r}")
+    if space == "tilde" and alpha <= 0.0:
+        raise DimensionError("alpha must be positive")
     if basis is None:
         basis = basis_set(mesh, degree)
     boundary = space == "hm1"
-    core = QuasiDiagonal(
-        build_incidence(mesh, include_boundary_facets=boundary),
-        build_D(mesh, include_boundary_facets=boundary),
-        alpha=alpha if space == "tilde" else None,
+    # I sqrt(D) (I sqrt(D))^t makes the stored S exactly symmetric
+    scaled = build_incidence(mesh, include_boundary_facets=boundary) @ sp.diags(
+        np.sqrt(build_D(mesh, include_boundary_facets=boundary))
     )
-    if basis.degree == 0:
-        return core
-    return BlockDiag(core, DiagonalScaling(build_Dp(mesh, basis)))
+    bubbles = sp.diags(build_Dp(mesh, basis))
+    matrix = sp.block_diag([scaled @ scaled.T, bubbles], format="csr")
+    coupling = None
+    if space == "tilde":
+        coupling = np.zeros(matrix.shape[0])
+        coupling[: mesh.num_elements] = np.sqrt(alpha)
+    return Preconditioner(matrix, coupling)
 
 
 def diagonal_preconditioner(
@@ -258,7 +203,6 @@ def diagonal_preconditioner(
     """Comparison preconditioner: inverse element diagonal, plus bubbles."""
     if basis is None:
         basis = basis_set(mesh, degree)
-    core = DiagonalScaling(1.0 / build_C(mesh))
-    if basis.degree == 0:
-        return core
-    return BlockDiag(core, DiagonalScaling(build_Dp(mesh, basis)))
+    return Preconditioner(
+        sp.diags(np.concatenate([1.0 / build_C(mesh), build_Dp(mesh, basis)]))
+    )

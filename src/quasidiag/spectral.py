@@ -106,20 +106,12 @@ def solve_spd(
     )
 
 
-class _JacobiScaling:
-    def __init__(self, matrix):
-        self.inv_diag = 1.0 / matrix.diagonal()
-
-    def apply(self, x):
-        return self.inv_diag * x
-
-
 def _spd_solver(matrix: sp.spmatrix):
     """Exact factorization when affordable, else tight Jacobi-PCG."""
     if matrix.shape[0] <= DIRECT_SOLVE_LIMIT:
         lu = splu(matrix.tocsc())
         return lu.solve
-    jacobi = _JacobiScaling(matrix)
+    jacobi = Preconditioner(sp.diags(1.0 / matrix.diagonal()))
     return lambda b: solve_spd(matrix, b, preconditioner=jacobi, tol=INNER_CG_TOL)
 
 
@@ -146,11 +138,6 @@ class GramOperator:
         if self.pairing is not None and self.pairing.shape[0] > 0:
             out = out + self.pairing.T @ self.r_solve(self.pairing @ x)
         return out
-
-
-def apply_A(operator: GramOperator, x) -> np.ndarray:
-    """Evaluate the Gram operator; see :class:`GramOperator`."""
-    return operator.apply(x)
 
 
 def gram_operator(

@@ -1,17 +1,20 @@
 """Experiment driver, CSV output, and the command line front end."""
 
+import importlib.util
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.io as sio
 
 from quasidiag.cli import main
-from quasidiag.errors import ConfigError
+from quasidiag.errors import ConfigError, EigsNotConverged
 from quasidiag.experiments import (
     CSV_HEADER,
     ExperimentConfig,
+    ExperimentRow,
     format_row,
     read_csv,
     run_experiment,
@@ -256,3 +259,31 @@ def test_dump_matrices_empty_dirichlet(tmp_path):
     names = sorted(p.name for p in dump.iterdir())
     assert "level01_I.mtx" in names
     assert "level01_R.mtx" not in names
+
+
+# ---------------------------------------------------------------------------
+# sweep script
+
+
+def load_sweep_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py"
+    spec = importlib.util.spec_from_file_location("run_all_experiments", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sweep_keeps_partial_table_on_failure(tmp_path, monkeypatch):
+    script = load_sweep_script()
+    row = ExperimentRow(1, 12, 12, 40.0, 2.5, 0.5, 1.25, 0.01)
+
+    def one_row_then_stall(config, row_callback=None):
+        row_callback(row)
+        raise EigsNotConverged("stalled")
+
+    monkeypatch.setattr(script, "run_experiment", one_row_then_stall)
+    code = script.main([
+        "--out-dir", str(tmp_path), "--only", "dim2_hm1_p0_uniform", "--quiet",
+    ])
+    assert code == 3
+    assert read_csv(tmp_path / "dim2_hm1_p0_uniform.csv") == [row]

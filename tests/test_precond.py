@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 from quasidiag.assembly import basis_set
 from quasidiag.errors import DimensionError
 from quasidiag.mesh import SimplicialMesh, initial_mesh
 from quasidiag.precond import (
-    BlockDiag,
-    DiagonalScaling,
-    QuasiDiagonal,
+    Preconditioner,
     build_C,
     build_D,
     build_Dp,
@@ -217,36 +217,45 @@ def test_sign_flip_invariance(lshape2d):
     np.testing.assert_allclose(S, Sf, atol=1e-16)
 
 
-def test_diagonal_rescaling_equivalence(lshape2d, rng):
-    I = build_incidence(lshape2d)
-    D = build_D(lshape2d)
-    factor = 3.5
-    P1 = QuasiDiagonal(I, D)
-    P2 = QuasiDiagonal(I, factor * D)
-    x = rng.standard_normal(12)
-    np.testing.assert_allclose(P2.apply(x), factor * P1.apply(x), rtol=1e-14)
-
-
-def test_block_diag_layout(rng):
-    left = DiagonalScaling([2.0, 4.0])
-    right = DiagonalScaling([8.0])
-    P = BlockDiag(left, right)
-    assert P.dim == 3
-    np.testing.assert_allclose(P.apply([1.0, 1.0, 1.0]), [2.0, 4.0, 8.0])
-    np.testing.assert_allclose(P.solve([2.0, 4.0, 8.0]), [1.0, 1.0, 1.0])
-    with pytest.raises(DimensionError):
-        P.apply([1.0, 2.0])
+@pytest.mark.parametrize("degree", [0, 1])
+@pytest.mark.parametrize("space", ["hm1", "tilde"])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_matrix_plus_coupling_matches_dense_blocks(dim, space, degree, rng):
+    mesh = initial_mesh(dim)
+    alpha = 0.1
+    P = quasi_diagonal_preconditioner(mesh, space, degree, alpha=alpha)
+    boundary = space == "hm1"
+    I = build_incidence(mesh, include_boundary_facets=boundary).toarray()
+    block = I @ np.diag(build_D(mesh, include_boundary_facets=boundary)) @ I.T
+    if space == "tilde":
+        block += alpha * np.ones_like(block)
+    bubbles = np.diag(build_Dp(mesh, basis_set(mesh, degree)))
+    want = scipy.linalg.block_diag(block, bubbles)
+    assert P.dim == want.shape[0]
+    # the stored matrix is exactly symmetric, not only to rounding
+    assert (P.matrix != P.matrix.T).nnz == 0
+    scale = np.abs(want).max()
+    np.testing.assert_allclose(P.to_dense(), want, rtol=1e-13, atol=1e-13 * scale)
+    x = rng.standard_normal(P.dim)
+    np.testing.assert_allclose(P.apply(x), want @ x, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(P.solve(x), np.linalg.solve(want, x), rtol=1e-10)
 
 
 def test_factory_dimensions(lshape2d):
     P0 = quasi_diagonal_preconditioner(lshape2d, "hm1", 0)
-    assert isinstance(P0, QuasiDiagonal) and P0.dim == 12
-    P1 = quasi_diagonal_preconditioner(lshape2d, "hm1", 1)
-    assert isinstance(P1, BlockDiag) and P1.dim == 36
+    assert P0.dim == 12 and P0.coupling is None
+    P1 = quasi_diagonal_preconditioner(lshape2d, "tilde", 1)
+    assert P1.dim == 36 and P1.matrix.shape == (36, 36)
+    np.testing.assert_array_equal(P1.coupling[12:], 0.0)
     with pytest.raises(DimensionError):
         quasi_diagonal_preconditioner(lshape2d, "h2", 0)
     with pytest.raises(DimensionError):
         quasi_diagonal_preconditioner(lshape2d, "tilde", 0, alpha=-1.0)
+
+
+def test_coupling_size_mismatch():
+    with pytest.raises(DimensionError):
+        Preconditioner(sp.eye(3), coupling=np.ones(2))
 
 
 def test_quasidiag_size_mismatch(lshape2d):

@@ -26,20 +26,6 @@ from quasidiag.spectral import (
 )
 
 
-class DensePreconditioner(Preconditioner):
-    """Test-only wrapper exposing an explicit SPD matrix as a preconditioner."""
-
-    def __init__(self, matrix):
-        self.matrix = np.asarray(matrix, dtype=np.float64)
-        self.dim = self.matrix.shape[0]
-
-    def apply(self, x):
-        return self.matrix @ self._check(x)
-
-    def solve(self, x):
-        return np.linalg.solve(self.matrix, self._check(x))
-
-
 def random_spd(rng, size, spread=10.0):
     Q, _ = np.linalg.qr(rng.standard_normal((size, size)))
     eigs = np.geomspace(1.0, spread, size)
@@ -81,7 +67,7 @@ def test_preconditioner_reduces_iterations(rng):
     A = sp.diags(diag).tocsr()
     b = rng.standard_normal(40)
     _, plain = solve_spd(A, b, tol=1e-10, return_iterations=True)
-    P = DensePreconditioner(np.diag(1.0 / diag))
+    P = Preconditioner(sp.csr_matrix(np.diag(1.0 / diag)))
     _, guided = solve_spd(A, b, preconditioner=P, tol=1e-10,
                           return_iterations=True)
     assert guided < plain
@@ -143,7 +129,7 @@ def test_dirichlet_rows_match_vertex_count(lshape2d):
 
 def test_extreme_eigs_diagonal_exact():
     A = sp.diags([1.0, 2.0, 3.0]).tocsr()
-    P = DensePreconditioner(np.eye(3))
+    P = Preconditioner(sp.csr_matrix(np.eye(3)))
     report = extreme_eigs(A, P, tol=1e-10)
     assert report.lambda_max == pytest.approx(3.0, rel=1e-6)
     assert report.lambda_min == pytest.approx(1.0, rel=1e-6)
@@ -153,7 +139,7 @@ def test_extreme_eigs_diagonal_exact():
 def test_extreme_eigs_perfect_preconditioner(rng):
     diag = np.geomspace(1.0, 1e3, 12)
     A = sp.diags(diag).tocsr()
-    P = DensePreconditioner(np.diag(1.0 / diag))
+    P = Preconditioner(sp.csr_matrix(np.diag(1.0 / diag)))
     report = extreme_eigs(A, P, tol=1e-10)
     assert report.kappa == pytest.approx(1.0, rel=1e-6)
 
@@ -161,7 +147,7 @@ def test_extreme_eigs_perfect_preconditioner(rng):
 def test_extreme_eigs_against_dense(rng):
     A = random_spd(rng, 15, spread=50.0)
     B = random_spd(rng, 15, spread=5.0)
-    P = DensePreconditioner(B)
+    P = Preconditioner(sp.csr_matrix(B))
     report = extreme_eigs(A, P, tol=1e-9, max_iter=5000, seed=3)
     lmin, lmax, kappa = dense_condition_number(A, P)
     assert report.lambda_max == pytest.approx(lmax, rel=5e-3)
@@ -171,7 +157,7 @@ def test_extreme_eigs_against_dense(rng):
 
 def test_extreme_eigs_stall_reports(rng):
     A = random_spd(rng, 10, spread=1e4)
-    P = DensePreconditioner(np.eye(10))
+    P = Preconditioner(sp.csr_matrix(np.eye(10)))
     with pytest.raises(EigsNotConverged) as err:
         extreme_eigs(A, P, tol=1e-14, max_iter=1)
     report = err.value.report
