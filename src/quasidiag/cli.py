@@ -12,6 +12,7 @@ import sys
 
 from .errors import ConfigError, EigsNotConverged, SolverFailure
 from .experiments import ExperimentConfig, csv_writer, run_experiment
+from .spectral import EIGS_MAX_ITER, EIGS_TOL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,8 +33,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--alpha", type=float, default=None)
     parser.add_argument("--beta", type=float, default=None)
     parser.add_argument("--theta", type=float, default=0.25)
-    parser.add_argument("--tol", type=float, default=1e-6)
-    parser.add_argument("--max-iter", dest="max_iter", type=int, default=2000)
+    parser.add_argument(
+        "--tol",
+        type=float,
+        default=EIGS_TOL,
+        help=(
+            "stop each eigenvalue estimate once the Ritz residual bound, "
+            "relative to the Ritz value, is at most this at both ends of the "
+            f"spectrum; an eigenvalue lies that close to each (default {EIGS_TOL})"
+        ),
+    )
+    parser.add_argument(
+        "--max-iter",
+        dest="max_iter",
+        type=int,
+        default=EIGS_MAX_ITER,
+        help=(
+            "Lanczos steps (one A and one P apply each) allowed per estimate "
+            f"before it fails with exit status 3 (default {EIGS_MAX_ITER})"
+        ),
+    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="CSV path (default stdout)")
     parser.add_argument(

@@ -29,7 +29,7 @@ from .precond import (
     quasi_diagonal_preconditioner,
 )
 from .refine import adaptive_refine, uniform_refine
-from .spectral import extreme_eigs, gram_operator
+from .spectral import EIGS_MAX_ITER, EIGS_TOL, extreme_eigs, gram_operator
 
 REFINE_MODES = ("uniform", "adaptive")
 CSV_HEADER = "level,nE,dofs,condDiag,condP,lmin,lmax,seconds"
@@ -61,8 +61,8 @@ class ExperimentConfig:
     alpha: float | None = None
     beta: float | None = None
     theta: float = 0.25
-    tol: float = 1e-6
-    max_iter: int = 2000
+    tol: float = EIGS_TOL
+    max_iter: int = EIGS_MAX_ITER
     seed: int = 0
     dump_matrices: str | None = None
     with_diag: bool = True

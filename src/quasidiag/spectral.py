@@ -9,10 +9,11 @@ with M the P1/piecewise pairing, R the P1 Gram matrix of the primal norm
 variant) and L the mesh-weighted piecewise mass matrix.  When the Dirichlet
 P1 space is empty the first term vanishes and A reduces to beta L.
 
-Condition numbers of preconditioned systems are estimated by power
-iteration for the largest eigenvalue and inverse power iteration for the
-smallest; both exploit that the iteration matrix is self-adjoint in inner
-products that are available without extra solves.
+Condition numbers of preconditioned systems come from one Lanczos run per
+estimate, read off the coefficients of preconditioned conjugate gradients
+on A x = b.  It needs only A and P applies, no solves with P, and it stops
+on an a-posteriori bound: each end of the spectrum is within a relative
+Ritz residual ``tol`` of an eigenvalue of the preconditioned operator.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ from .precond import SPACES, Preconditioner
 # back to tightly converged conjugate gradients
 DIRECT_SOLVE_LIMIT = 50_000
 INNER_CG_TOL = 1e-12
+
+# defaults of the extreme-eigenvalue estimate, shared by the experiment
+# driver and the command line: the relative Ritz residual bound at which
+# Lanczos stops, and its step cap
+EIGS_TOL = 1e-4
+EIGS_MAX_ITER = 50_000
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +184,15 @@ def gram_operator(
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Extreme-eigenvalue estimates of a preconditioned system."""
+    """Extreme-eigenvalue estimates of a preconditioned system.
+
+    ``iterations_max`` and ``iterations_min`` count the Lanczos steps of the
+    run that produced both ends (they are equal).  ``residual_max`` and
+    ``residual_min`` are the relative Ritz residual bounds at the end of the
+    run: the preconditioned operator has an eigenvalue within
+    ``residual_max * lambda_max`` of ``lambda_max``, and likewise at the
+    bottom.
+    """
 
     lambda_max: float
     lambda_min: float
@@ -192,7 +207,7 @@ _MIN_SWEEPS = 5
 
 
 def _rayleigh_iteration(step, start, tol, max_iter):
-    """Shared loop: track the Rayleigh quotient until its change is small.
+    """Track the Rayleigh quotient until its change is small.
 
     ``step`` maps the current unit vector to (rayleigh, next unnormalized
     iterate).  Returns (value, iterations, last relative change, converged).
@@ -212,63 +227,121 @@ def _rayleigh_iteration(step, start, tol, max_iter):
     return rho, max_iter, change, False
 
 
+def _extreme_ritz(diagonal, off_diagonal, coupling):
+    """Extreme Ritz values of T_k and their relative residual bounds.
+
+    ``coupling`` is the entry that would join T_k to the next Lanczos
+    vector; a Ritz pair (theta, s) of T_k has residual coupling * |s_k|.
+    The bound adds k * eps * theta_max, the rounding level of k Lanczos
+    steps and of the tridiagonal eigensolver, below which it means nothing.
+    Returns (lambda_max, lambda_min, bound_max, bound_min).
+    """
+    k = len(diagonal)
+    d = np.asarray(diagonal)
+    e = np.asarray(off_diagonal)
+    ends = []
+    for index in (k - 1, 0):
+        theta, vector = scipy.linalg.eigh_tridiagonal(
+            d, e, select="i", select_range=(index, index)
+        )
+        ends.append((float(theta[0]), float(coupling * abs(vector[-1, 0]))))
+    rounding = k * float(np.finfo(float).eps) * ends[0][0]
+    (lam_max, res_max), (lam_min, res_min) = ends
+    return (
+        lam_max,
+        lam_min,
+        (res_max + rounding) / lam_max,
+        (res_min + rounding) / lam_min,
+    )
+
+
 def extreme_eigs(
     operator,
     preconditioner: Preconditioner,
-    tol: float = 1e-6,
-    max_iter: int = 2000,
+    tol: float = EIGS_TOL,
+    max_iter: int = EIGS_MAX_ITER,
     seed=0,
-    inner_tol: float = 1e-10,
 ) -> SpectralReport:
     """Extreme eigenvalues of the preconditioned operator, and their ratio.
 
-    The largest eigenvalue comes from power iteration on x -> P(A x) with
-    the Rayleigh quotient taken in the A-inner product, where the iteration
-    matrix is self-adjoint; the smallest from inverse power iteration whose
-    inner SPD solves reuse the same preconditioner.  Iterations stop when
-    the Rayleigh quotient changes by less than ``tol`` relatively; running
-    out of iterations raises :class:`EigsNotConverged` carrying the best
-    estimates found.
+    One preconditioned conjugate-gradient run on A x = b, from a random b
+    drawn from ``seed``, is a Lanczos process for x -> P(A x), which is
+    self-adjoint in the P^{-1} inner product.  Its step lengths alpha_j and
+    direction updates beta_j give the Lanczos matrix T_k, tridiagonal with
+    diagonal 1/alpha_j + beta_{j-1}/alpha_{j-1} and off-diagonal
+    sqrt(beta_j)/alpha_j.  The extreme eigenvalues theta of T_k estimate
+    lambda_min and lambda_max from the inside.
+
+    A Ritz pair (theta, s) of T_k has residual sqrt(beta_k)/alpha_k * |s_k|,
+    so P A has an eigenvalue within that distance of theta (the bound also
+    counts k * eps * lambda_max of rounding).  The run stops once this
+    bound, relative to theta, is at most ``tol`` at both ends; the
+    report's ``residual_*`` fields hold the final relative bounds and
+    ``iterations_*`` the number of Lanczos steps (one A apply and one P
+    apply each).  The bound does not say which eigenvalue theta is near;
+    with a random start, the nearest is the extreme one unless ``tol`` is
+    loose enough to stop before the end of the spectrum is resolved.
+
+    Only O(n) work vectors are kept: no Krylov basis, no
+    reorthogonalization.  Running out of ``max_iter`` steps raises
+    :class:`EigsNotConverged` carrying the estimates so far; a direction of
+    non-positive curvature raises :class:`SolverFailure`.
     """
     matvec = _as_matvec(operator)
     rng = np.random.default_rng(seed)
-    n = preconditioner.dim
-
-    def power_step(x):
-        a = matvec(x)
-        y = preconditioner.apply(a)
-        return float(y @ a) / float(x @ a), y
-
-    lam_max, it_max, res_max, ok_max = _rayleigh_iteration(
-        power_step, rng.standard_normal(n), tol, max_iter
-    )
-    if not ok_max:
-        report = SpectralReport(
-            lam_max, np.nan, np.nan, it_max, 0, res_max, np.inf
-        )
-        raise EigsNotConverged(
-            f"power iteration stalled at {lam_max} after {it_max} sweeps",
-            report=report,
-        )
-
-    def inverse_step(x):
-        w = preconditioner.solve(x)
-        z = solve_spd(matvec, w, preconditioner, tol=inner_tol)
-        return float(z @ w) / float(x @ w), z
-
-    inv_lam, it_min, res_min, ok_min = _rayleigh_iteration(
-        inverse_step, rng.standard_normal(n), tol, max_iter
-    )
-    lam_min = 1.0 / inv_lam
+    r = rng.standard_normal(preconditioner.dim)
+    z = preconditioner.apply(r)
+    beta = float(r @ z)
+    if beta <= 0.0:
+        raise SolverFailure("the preconditioner is not positive definite", iterations=0)
+    p = np.zeros_like(r)
+    diagonal, off_diagonal = [], []
+    alpha = None
+    next_check = 1
+    for k in range(1, max_iter + 1):
+        # r, z and p are rescaled to r.z = 1 every step; alpha and beta do
+        # not depend on that scale, and long runs would otherwise underflow
+        root = np.sqrt(beta)
+        r /= root
+        z /= root
+        p *= root
+        p += z
+        ap = matvec(p)
+        curvature = float(p @ ap)
+        if curvature <= 0.0:
+            raise SolverFailure(
+                "Lanczos met a non-positive curvature direction", iterations=k
+            )
+        entry = curvature
+        if alpha is not None:
+            entry += beta / alpha
+            off_diagonal.append(root / alpha)
+        diagonal.append(entry)
+        alpha = 1.0 / curvature
+        r -= alpha * ap
+        z = preconditioner.apply(r)
+        beta = float(r @ z)
+        if k >= next_check or k == max_iter or beta <= 0.0:
+            lam_max, lam_min, res_max, res_min = _extreme_ritz(
+                diagonal, off_diagonal, np.sqrt(max(beta, 0.0)) / alpha
+            )
+            if max(res_max, res_min) <= tol:
+                return SpectralReport(
+                    lam_max, lam_min, lam_max / lam_min, k, k, res_max, res_min
+                )
+            # every step at first, then every k/20 steps
+            next_check = k + max(1, k // 20)
+        if beta <= 0.0:  # r vanished: T_k is exact up to rounding
+            break
     report = SpectralReport(
-        lam_max, lam_min, lam_max / lam_min, it_max, it_min, res_max, res_min
+        lam_max, lam_min, lam_max / lam_min, k, k, res_max, res_min
     )
-    if not ok_min:
-        raise EigsNotConverged(
-            f"inverse iteration stalled at {lam_min} after {it_min} sweeps",
-            report=report,
-        )
-    return report
+    raise EigsNotConverged(
+        f"Lanczos stopped after {k} steps with relative Ritz residuals "
+        f"{res_max:.2e} (lambda_max {lam_max}) and {res_min:.2e} "
+        f"(lambda_min {lam_min}), above tol={tol}",
+        report=report,
+    )
 
 
 def pencil_max_eig(

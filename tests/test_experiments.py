@@ -1,6 +1,7 @@
 """Experiment driver, CSV output, and the command line front end."""
 
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.io as sio
 
+from quasidiag.assembly import basis_set
 from quasidiag.cli import main
 from quasidiag.errors import ConfigError, EigsNotConverged
 from quasidiag.experiments import (
@@ -21,8 +23,11 @@ from quasidiag.experiments import (
     write_csv,
 )
 from quasidiag.mesh import initial_mesh
-from quasidiag.precond import build_incidence
+from quasidiag.precond import build_incidence, quasi_diagonal_preconditioner
 from quasidiag.refine import uniform_refine
+from quasidiag.spectral import dense_condition_number, gram_operator
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class CountingClock:
@@ -160,6 +165,21 @@ def test_format_row_repr_floats():
     assert fields[5] == repr(rows[0].lambda_min)
 
 
+def test_known_hard_start_reaches_the_dense_lambda_max():
+    # from sub-seed 13002 a stopping rule on the change of the Rayleigh
+    # quotient ended 2.7 % low at level 2 (1.5304 against 1.5733)
+    cfg = ExperimentConfig(dim=4, space="tilde", degree=1, levels=2, seed=13002)
+    row = run_experiment(cfg)[-1]
+    mesh = uniform_refine(initial_mesh(4))
+    basis = basis_set(mesh, 1)
+    op = gram_operator(mesh, "tilde", 1, beta=0.1, basis=basis)
+    P = quasi_diagonal_preconditioner(mesh, "tilde", 1, alpha=0.1, basis=basis)
+    lmin, lmax, kappa = dense_condition_number(op, P)
+    assert row.lambda_max == pytest.approx(lmax, rel=1e-2)
+    assert row.lambda_min == pytest.approx(lmin, rel=1e-2)
+    assert row.cond_quasidiag == pytest.approx(kappa, rel=1e-2)
+
+
 def test_determinism_with_injected_clock():
     cfg = ExperimentConfig(dim=2, levels=3, seed=7)
     a = run_experiment(cfg, clock=CountingClock())
@@ -182,10 +202,13 @@ def test_determinism_modulo_timing():
 
 
 def run_cli(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "quasidiag.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from quasidiag.assembly import (
     assemble_L,
@@ -127,6 +128,14 @@ def test_dirichlet_rows_match_vertex_count(lshape2d):
 # eigenvalue estimation
 
 
+def assert_ritz_bounds_hold(report, tol, lmin, lmax):
+    """Each returned bound meets tol and brackets the dense eigenvalue."""
+    assert report.residual_max <= tol
+    assert report.residual_min <= tol
+    assert abs(report.lambda_max - lmax) <= report.residual_max * report.lambda_max
+    assert abs(report.lambda_min - lmin) <= report.residual_min * report.lambda_min
+
+
 def test_extreme_eigs_diagonal_exact():
     A = sp.diags([1.0, 2.0, 3.0]).tocsr()
     P = Preconditioner(sp.csr_matrix(np.eye(3)))
@@ -153,6 +162,7 @@ def test_extreme_eigs_against_dense(rng):
     assert report.lambda_max == pytest.approx(lmax, rel=5e-3)
     assert report.lambda_min == pytest.approx(lmin, rel=5e-3)
     assert report.kappa == pytest.approx(kappa, rel=5e-3)
+    assert_ritz_bounds_hold(report, 1e-9, lmin, lmax)
 
 
 def test_extreme_eigs_stall_reports(rng):
@@ -173,6 +183,29 @@ def test_extreme_eigs_on_mesh_operator(lshape2d):
     assert report.kappa == pytest.approx(kappa, rel=1e-3)
     assert report.lambda_min == pytest.approx(lmin, rel=1e-3)
     assert report.lambda_max == pytest.approx(lmax, rel=1e-3)
+    assert_ritz_bounds_hold(report, 1e-8, lmin, lmax)
+
+
+def test_extreme_eigs_agrees_with_lobpcg_mid_size(lshape2d):
+    # 12,288 dofs: far past the dense oracle, checked by an independent
+    # block method on the pencil (A, P^{-1}) instead
+    mesh = lshape2d
+    for _ in range(5):
+        mesh = uniform_refine(mesh)
+    op = gram_operator(mesh, "hm1", 0, beta=0.1)
+    P = quasi_diagonal_preconditioner(mesh, "hm1", 0)
+    report = extreme_eigs(op, P, seed=5)
+    n = op.dim
+    A = LinearOperator((n, n), matvec=op.apply, dtype=float)
+    B = LinearOperator((n, n), matvec=P.solve, dtype=float)
+    M = LinearOperator((n, n), matvec=P.apply, dtype=float)
+    start = np.random.default_rng(6).standard_normal((n, 4))
+    ends = []
+    for largest in (True, False):
+        values = lobpcg(A, start, B=B, M=M, largest=largest, tol=1e-7, maxiter=300)[0]
+        ends.append(values.max() if largest else values.min())
+    assert report.lambda_max == pytest.approx(ends[0], rel=1e-3)
+    assert report.lambda_min == pytest.approx(ends[1], rel=1e-3)
 
 
 def test_beta_robustness(lshape2d):
