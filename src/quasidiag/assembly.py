@@ -102,9 +102,8 @@ def _p1_gradients(mesh: SimplicialMesh) -> np.ndarray:
     return np.concatenate([grad0, inv], axis=1)
 
 
-def assemble_stiffness(mesh: SimplicialMesh, boundary_condition: str = "free"):
-    """P1 stiffness matrix; dirichlet restricts to interior vertices."""
-    _check_boundary_condition(boundary_condition)
+def assemble_stiffness(mesh: SimplicialMesh):
+    """P1 stiffness matrix over all vertices."""
     grads = _p1_gradients(mesh)
     local = np.einsum(
         "t,tid,tjd->tij", mesh.volumes, grads, grads, optimize=True
@@ -112,31 +111,22 @@ def assemble_stiffness(mesh: SimplicialMesh, boundary_condition: str = "free"):
     li, lj = np.triu_indices(mesh.dim + 1)
     rows = mesh.elements[:, li].ravel()
     cols = mesh.elements[:, lj].ravel()
-    full = _symmetric_from_triplets(
+    return _symmetric_from_triplets(
         rows, cols, local[:, li, lj].ravel(), mesh.num_vertices
     )
-    if boundary_condition == "free":
-        return full
-    keep = p1_vertex_ids(mesh, "dirichlet")
-    return full[keep][:, keep].tocsr()
 
 
-def assemble_mass_p1(mesh: SimplicialMesh, boundary_condition: str = "free"):
+def assemble_mass_p1(mesh: SimplicialMesh):
     """Consistent P1 mass matrix |T|(1 + delta_ij)/((n+1)(n+2))."""
-    _check_boundary_condition(boundary_condition)
     n = mesh.dim
     pattern = (1.0 + np.eye(n + 1)) / ((n + 1) * (n + 2))
     local = mesh.volumes[:, None, None] * pattern
     li, lj = np.triu_indices(n + 1)
     rows = mesh.elements[:, li].ravel()
     cols = mesh.elements[:, lj].ravel()
-    full = _symmetric_from_triplets(
+    return _symmetric_from_triplets(
         rows, cols, local[:, li, lj].ravel(), mesh.num_vertices
     )
-    if boundary_condition == "free":
-        return full
-    keep = p1_vertex_ids(mesh, "dirichlet")
-    return full[keep][:, keep].tocsr()
 
 
 def assemble_R(mesh: SimplicialMesh, boundary_condition: str):
@@ -145,10 +135,10 @@ def assemble_R(mesh: SimplicialMesh, boundary_condition: str):
     dirichlet: stiffness on interior vertices (H1 seminorm, SPD).
     free: stiffness plus mass over all vertices (full H1 norm, SPD).
     """
-    _check_boundary_condition(boundary_condition)
-    if boundary_condition == "dirichlet":
-        return assemble_stiffness(mesh, "dirichlet")
-    return (assemble_stiffness(mesh, "free") + assemble_mass_p1(mesh, "free")).tocsr()
+    keep = p1_vertex_ids(mesh, boundary_condition)
+    if boundary_condition == "free":
+        return (assemble_stiffness(mesh) + assemble_mass_p1(mesh)).tocsr()
+    return assemble_stiffness(mesh)[keep][:, keep].tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +201,8 @@ def assemble_M(mesh: SimplicialMesh, basis: BasisSet, boundary_condition: str):
 
     Rows follow :func:`p1_vertex_ids`; columns follow the BasisSet layout.
     The dirichlet variant with an empty interior space yields a 0-row
-    matrix rather than an error.
+    matrix rather than an error, so the row map is built here instead of
+    through :func:`p1_vertex_ids`, which raises.
     """
     _check_boundary_condition(boundary_condition)
     n = mesh.dim

@@ -105,11 +105,13 @@ class Preconditioner:
 
     ``matrix`` is the assembled sparse S; ``coupling`` is the optional
     vector c of the rank-one term, kept out of S so that S stays sparse.
-    ``apply`` evaluates the action; ``solve`` inverts it (needed by inverse
-    power iteration) through a sparse LU factorization of S, or of the
-    bordered matrix [[S, c], [c^t, -1]] when a coupling is present, built
-    on first use; ``to_dense`` materializes the action for oracle
-    comparisons.
+    ``apply`` evaluates the action; ``solve`` inverts it through a sparse
+    LU factorization of S, or of the bordered matrix [[S, c], [c^t, -1]]
+    when a coupling is present, built on first use.  The estimator never
+    calls ``solve``: its users are the LOBPCG cross-check of the tests
+    (the B operator of the pencil (A, P^{-1})) and the benchmark tracer,
+    which wraps it on every preconditioner it builds.  ``to_dense``
+    materializes the action for oracle comparisons.
     """
 
     def __init__(self, matrix: sp.spmatrix, coupling=None):

@@ -431,7 +431,7 @@ def h1_projection_indicator(
         _element_rule(mesh.vertices[tri], singular_point) for tri in mesh.elements
     ]
 
-    mass = assemble_mass_p1(mesh, "free")
+    mass = assemble_mass_p1(mesh)
     rhs = np.zeros(mesh.num_vertices)
     bary_cache = []
     for tri, (pts, wts) in zip(mesh.elements, rules):

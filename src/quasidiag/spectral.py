@@ -9,11 +9,15 @@ with M the P1/piecewise pairing, R the P1 Gram matrix of the primal norm
 variant) and L the mesh-weighted piecewise mass matrix.  When the Dirichlet
 P1 space is empty the first term vanishes and A reduces to beta L.
 
-Condition numbers of preconditioned systems come from one Lanczos run per
-estimate, read off the coefficients of preconditioned conjugate gradients
-on A x = b.  It needs only A and P applies, no solves with P, and it stops
-on an a-posteriori bound: each end of the spectrum is within a relative
-Ritz residual ``tol`` of an eigenvalue of the preconditioned operator.
+Every operator is applied as ``operator @ x``: ndarrays, sparse matrices
+and :class:`GramOperator` alike.  The only eigenvalue loop is
+:func:`extreme_eigs`, one Lanczos run per estimate, read off the
+coefficients of preconditioned conjugate gradients on A x = b.  It needs
+only A and P applies, no solves with P, and it stops on an a-posteriori
+bound: each end of the spectrum is within a relative Ritz residual ``tol``
+of an eigenvalue of the preconditioned operator.  The top eigenvalue of
+the pencil (L, A) is the reciprocal of the bottom end of the estimate for
+A preconditioned by L^{-1}.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import inv, splu
 
 from .assembly import BasisSet, assemble_L, assemble_M, assemble_R, basis_set
 from .errors import DimensionError, EigsNotConverged, EmptySpace, SolverFailure
@@ -43,20 +47,7 @@ EIGS_MAX_ITER = 50_000
 
 
 # ---------------------------------------------------------------------------
-# operator plumbing
-
-
-def _as_matvec(operator):
-    """Uniform matrix-vector interface for the accepted operator kinds."""
-    if isinstance(operator, GramOperator):
-        return operator.apply
-    if sp.issparse(operator):
-        return lambda x: operator @ x
-    if isinstance(operator, np.ndarray):
-        return lambda x: operator @ x
-    if callable(operator):
-        return operator
-    raise DimensionError(f"unsupported operator type {type(operator)!r}")
+# conjugate gradients
 
 
 def solve_spd(
@@ -74,7 +65,6 @@ def solve_spd(
     dimension (or ``max_iter``), beyond which :class:`SolverFailure` is
     raised.
     """
-    matvec = _as_matvec(operator)
     b = np.asarray(rhs, dtype=float).ravel()
     n = b.size
     apply_p = preconditioner.apply if preconditioner is not None else lambda v: v
@@ -89,7 +79,7 @@ def solve_spd(
         return (x, 0) if return_iterations else x
     p = z.copy()
     for it in range(1, cap + 1):
-        ap = matvec(p)
+        ap = operator @ p
         denom = float(p @ ap)
         if denom <= 0.0:
             raise SolverFailure(
@@ -127,15 +117,25 @@ def _spd_solver(matrix: sp.spmatrix):
 
 
 class GramOperator:
-    """Symmetric positive definite action of the discrete dual norm."""
+    """Symmetric positive definite action of the discrete dual norm.
 
-    def __init__(self, pairing, r_solve, weighted_mass, beta: float, variant: str):
+    ``op @ x`` is ``op.apply(x)``.
+    """
+
+    def __init__(self, pairing, r_solve, weighted_mass, beta: float):
         self.pairing = pairing
+        # for CSR the transpose is a CSC view sharing the arrays
+        self._pairing_t = pairing.T if pairing is not None else None
         self.r_solve = r_solve
         self.weighted_mass = weighted_mass.tocsr()
         self.beta = float(beta)
-        self.variant = variant
         self.dim = weighted_mass.shape[0]
+        self.shape = (self.dim, self.dim)
+
+    def __matmul__(self, x) -> np.ndarray:
+        # a call, not an alias, so that replacing ``apply`` on the class
+        # also replaces ``@``
+        return self.apply(x)
 
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float).ravel()
@@ -143,7 +143,7 @@ class GramOperator:
             raise DimensionError(f"expected vector of size {self.dim}, got {x.size}")
         out = self.beta * (self.weighted_mass @ x)
         if self.pairing is not None and self.pairing.shape[0] > 0:
-            out = out + self.pairing.T @ self.r_solve(self.pairing @ x)
+            out = out + self._pairing_t @ self.r_solve(self.pairing @ x)
         return out
 
 
@@ -175,7 +175,7 @@ def gram_operator(
     except EmptySpace:
         pairing = None
         r_solve = None
-    return GramOperator(pairing, r_solve, weighted_mass, beta, space)
+    return GramOperator(pairing, r_solve, weighted_mass, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -201,30 +201,6 @@ class SpectralReport:
     iterations_min: int
     residual_max: float
     residual_min: float
-
-
-_MIN_SWEEPS = 5
-
-
-def _rayleigh_iteration(step, start, tol, max_iter):
-    """Track the Rayleigh quotient until its change is small.
-
-    ``step`` maps the current unit vector to (rayleigh, next unnormalized
-    iterate).  Returns (value, iterations, last relative change, converged).
-    """
-    x = start / np.linalg.norm(start)
-    previous = None
-    change = np.inf
-    rho = np.nan
-    for it in range(1, max_iter + 1):
-        rho, y = step(x)
-        if previous is not None:
-            change = abs(rho - previous) / abs(rho)
-            if it >= _MIN_SWEEPS and change <= tol:
-                return rho, it, change, True
-        previous = rho
-        x = y / np.linalg.norm(y)
-    return rho, max_iter, change, False
 
 
 def _extreme_ritz(diagonal, off_diagonal, coupling):
@@ -287,7 +263,6 @@ def extreme_eigs(
     :class:`EigsNotConverged` carrying the estimates so far; a direction of
     non-positive curvature raises :class:`SolverFailure`.
     """
-    matvec = _as_matvec(operator)
     rng = np.random.default_rng(seed)
     r = rng.standard_normal(preconditioner.dim)
     z = preconditioner.apply(r)
@@ -306,7 +281,7 @@ def extreme_eigs(
         z /= root
         p *= root
         p += z
-        ap = matvec(p)
+        ap = operator @ p
         curvature = float(p @ ap)
         if curvature <= 0.0:
             raise SolverFailure(
@@ -347,57 +322,27 @@ def extreme_eigs(
 def pencil_max_eig(
     weighted_mass,
     operator,
-    preconditioner: Preconditioner,
-    tol: float = 1e-6,
-    max_iter: int = 2000,
+    tol: float = EIGS_TOL,
+    max_iter: int = EIGS_MAX_ITER,
     seed=0,
-    inner_tol: float = 1e-10,
 ) -> float:
     """Largest generalized eigenvalue of L x = lambda A x.
 
-    Power iteration on A^{-1} L in the A-inner product; the A-solves run
-    preconditioned conjugate gradients with the supplied preconditioner.
+    It equals 1 / lambda_min(L^{-1} A), the bottom end of one
+    :func:`extreme_eigs` run preconditioned by L^{-1}.  L is block diagonal
+    per element, so its sparse inverse keeps the pattern of L.
     """
-    l_matvec = _as_matvec(weighted_mass)
-    a_matvec = _as_matvec(operator)
-    rng = np.random.default_rng(seed)
-    n = preconditioner.dim
-
-    def step(x):
-        w = l_matvec(x)
-        z = solve_spd(a_matvec, w, preconditioner, tol=inner_tol)
-        return float(x @ w) / float(x @ a_matvec(x)), z
-
-    value, iterations, change, converged = _rayleigh_iteration(
-        step, rng.standard_normal(n), tol, max_iter
-    )
-    if not converged:
-        report = SpectralReport(value, np.nan, np.nan, iterations, 0, change, np.inf)
-        raise EigsNotConverged(
-            f"pencil iteration stalled at {value} after {iterations} sweeps",
-            report=report,
-        )
-    return value
+    inverse = Preconditioner(inv(sp.csc_matrix(weighted_mass)))
+    return 1.0 / extreme_eigs(operator, inverse, tol, max_iter, seed).lambda_min
 
 
 # ---------------------------------------------------------------------------
 # dense oracles
 
 
-def dense_action(operator, dim: int | None = None) -> np.ndarray:
+def dense_action(operator) -> np.ndarray:
     """Materialize an operator column by column (small problems only)."""
-    if isinstance(operator, np.ndarray):
-        return operator
-    if sp.issparse(operator):
-        return operator.toarray()
-    matvec = _as_matvec(operator)
-    if dim is None:
-        if isinstance(operator, GramOperator):
-            dim = operator.dim
-        else:
-            raise DimensionError("dim required for callable operators")
-    eye = np.eye(dim)
-    return np.column_stack([matvec(eye[:, k]) for k in range(dim)])
+    return np.column_stack([operator @ e for e in np.eye(operator.shape[0])])
 
 
 def dense_condition_number(operator, preconditioner: Preconditioner):
@@ -407,7 +352,7 @@ def dense_condition_number(operator, preconditioner: Preconditioner):
     symmetric-definite pencil (P A P, P).
     """
     action = preconditioner.to_dense()
-    gram = dense_action(operator, preconditioner.dim)
+    gram = dense_action(operator)
     gram = 0.5 * (gram + gram.T)
     product = action @ gram @ action
     product = 0.5 * (product + product.T)

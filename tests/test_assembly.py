@@ -78,7 +78,7 @@ def test_bad_boundary_condition_rejected(lshape2d):
 
 
 def test_local_stiffness_unit_right_triangle():
-    got = assemble_stiffness(unit_right_triangle(), "free").toarray()
+    got = assemble_stiffness(unit_right_triangle()).toarray()
     want = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     np.testing.assert_allclose(got, want, atol=1e-15)
 
@@ -86,12 +86,12 @@ def test_local_stiffness_unit_right_triangle():
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_stiffness_annihilates_constants(dim):
     mesh = initial_mesh(dim)
-    S = assemble_stiffness(mesh, "free")
+    S = assemble_stiffness(mesh)
     assert np.abs(S @ np.ones(mesh.num_vertices)).max() < 1e-12
 
 
 def test_mass_total_is_domain_volume(lshape2d):
-    M = assemble_mass_p1(lshape2d, "free")
+    M = assemble_mass_p1(lshape2d)
     assert M.sum() == pytest.approx(3.0, rel=1e-13)
 
 
@@ -99,7 +99,7 @@ def test_r_free_is_stiffness_plus_mass():
     mesh = unit_right_triangle()
     got = assemble_R(mesh, "free").toarray()
     mass = simplex_volume(mesh.vertices[mesh.elements[0]]) * (1 + np.eye(3)) / 12.0
-    want = assemble_stiffness(mesh, "free").toarray() + mass
+    want = assemble_stiffness(mesh).toarray() + mass
     np.testing.assert_allclose(got, want, atol=1e-15)
 
 
@@ -131,8 +131,8 @@ def test_r_variants_spd_small(dim):
 def test_exact_symmetry(dim):
     mesh = uniform_refine(initial_mesh(dim))
     for matrix in (
-        assemble_stiffness(mesh, "free"),
-        assemble_mass_p1(mesh, "free"),
+        assemble_stiffness(mesh),
+        assemble_mass_p1(mesh),
         assemble_R(mesh, "free"),
         assemble_R(mesh, "dirichlet"),
         assemble_L(mesh, basis_set(mesh, 1)),

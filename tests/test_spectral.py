@@ -117,6 +117,27 @@ def test_gram_operator_symmetric_positive(lshape2d, rng):
     assert np.linalg.eigvalsh(dense).min() > 0.0
 
 
+def test_matmul_is_the_traced_apply(lshape2d, rng, monkeypatch):
+    # ``op @ x`` must go through ``GramOperator.apply`` looked up on the
+    # class, which is what a tracer replaces to count A applies
+    mesh = uniform_refine(lshape2d)
+    op = gram_operator(mesh, "hm1", 0, beta=0.1)
+    x = rng.standard_normal(op.dim)
+    np.testing.assert_array_equal(op @ x, op.apply(x))
+
+    calls = []
+    original = GramOperator.apply
+
+    def counting_apply(self, x):
+        calls.append(1)
+        return original(self, x)
+
+    monkeypatch.setattr(GramOperator, "apply", counting_apply)
+    report = extreme_eigs(op, quasi_diagonal_preconditioner(mesh, "hm1", 0))
+    assert report.iterations_max > 1
+    assert len(calls) == report.iterations_max
+
+
 def test_dirichlet_rows_match_vertex_count(lshape2d):
     mesh = uniform_refine(lshape2d)
     op = gram_operator(mesh, "hm1", 0, beta=0.1)
@@ -232,15 +253,19 @@ def test_permutation_similarity(lshape2d, rng):
     assert base[1] == pytest.approx(base[0], rel=1e-10)
 
 
-def test_pencil_max_eig_matches_dense(lshape2d):
+@pytest.mark.parametrize("degree, refinements", [(0, 0), (1, 1)])
+def test_pencil_max_eig_matches_dense(lshape2d, degree, refinements):
+    # degree 1 makes L^{-1} a block inverse, not the diagonal preconditioner
     import scipy.linalg as la
 
+    mesh = lshape2d
+    for _ in range(refinements):
+        mesh = uniform_refine(mesh)
     beta = 0.1
-    basis = basis_set(lshape2d, 0)
-    op = gram_operator(lshape2d, "hm1", 0, beta=beta, basis=basis)
-    P = quasi_diagonal_preconditioner(lshape2d, "hm1", 0)
-    L = assemble_L(lshape2d, basis).toarray()
-    top = pencil_max_eig(sp.csr_matrix(L), op, P, tol=1e-9)
+    basis = basis_set(mesh, degree)
+    op = gram_operator(mesh, "hm1", degree, beta=beta, basis=basis)
+    L = assemble_L(mesh, basis).toarray()
+    top = pencil_max_eig(sp.csr_matrix(L), op, tol=1e-9)
     dense = la.eigh(L, dense_action(op), eigvals_only=True)
     assert top == pytest.approx(dense[-1], rel=1e-5)
     assert top <= 1.0 / beta * (1.0 + 1e-9)
