@@ -87,7 +87,13 @@ def main(argv=None) -> int:
         print(f"quasidiag: {exc}", file=sys.stderr)
         return 2
 
-    stream = sys.stdout if args.out is None else open(args.out, "w", encoding="ascii")
+    stream = sys.stdout
+    if args.out is not None:
+        try:
+            stream = open(args.out, "w", encoding="ascii")
+        except OSError as exc:
+            print(f"quasidiag: cannot open --out: {exc}", file=sys.stderr)
+            return 2
     try:
         run_experiment(config, row_callback=csv_writer(stream))
     except (SolverFailure, EigsNotConverged) as exc:

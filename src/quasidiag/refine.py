@@ -26,7 +26,9 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
+from .assembly import _p1_gradients, assemble_mass_p1
 from .errors import DimensionError, UnsupportedDimension
 from .mesh import SimplicialMesh
 
@@ -134,28 +136,29 @@ def nvb_refine(mesh: SimplicialMesh, marked) -> SimplicialMesh:
     midpoint_of = np.full(len(topo), -1, dtype=np.int64)
     midpoint_of[edge_ids] = new_ids
 
-    children = []
-    for e in range(mesh.num_elements):
-        a, b, c = mesh.elements[e]
-        m_bc = midpoint_of[ef[e, 0]]
-        m_ca = midpoint_of[ef[e, 1]]
-        m_ab = midpoint_of[ef[e, 2]]
-        if m_ab < 0:
-            assert m_bc < 0 and m_ca < 0, "closure must mark the refinement edge"
-            children.append((a, b, c))
-            continue
-        # first child (c, a, m_ab) owns edge (c, a); second owns (b, c)
-        if m_ca < 0:
-            children.append((c, a, m_ab))
-        else:
-            children.append((m_ab, c, m_ca))
-            children.append((a, m_ab, m_ca))
-        if m_bc < 0:
-            children.append((b, c, m_ab))
-        else:
-            children.append((m_ab, b, m_bc))
-            children.append((c, m_ab, m_bc))
-    return SimplicialMesh(2, grown, np.array(children, dtype=np.int64))
+    a, b, c = mesh.elements.T
+    m_bc, m_ca, m_ab = midpoint_of[ef].T
+    has_ab, has_ca, has_bc = m_ab >= 0, m_ca >= 0, m_bc >= 0
+    assert not (has_ca | has_bc)[~has_ab].any(), "closure must mark refinement edges"
+    # four child slots per element; the first child (c, a, m_ab) owns edge
+    # (c, a) and is split again when m_ca exists (slots 0-1), the second
+    # (b, c, m_ab) owns (b, c) and is split when m_bc exists (slots 2-3)
+    candidates = np.stack(
+        [
+            np.where(
+                has_ab,
+                np.where(has_ca, [m_ab, c, m_ca], [c, a, m_ab]),
+                [a, b, c],
+            ).T,
+            np.stack([a, m_ab, m_ca], axis=1),
+            np.where(has_bc, [m_ab, b, m_bc], [b, c, m_ab]).T,
+            np.stack([c, m_ab, m_bc], axis=1),
+        ],
+        axis=1,
+    )
+    valid = np.stack([np.ones_like(has_ab), has_ca, has_ab, has_bc], axis=1)
+    # row-major order lists each element's children together, in slot order
+    return SimplicialMesh(2, grown, candidates[valid])
 
 
 # ---------------------------------------------------------------------------
@@ -355,58 +358,40 @@ _CORNER_LEVELS = 4
 _CORNER_RATIO = 0.25
 
 
-def _corner_subtriangles(coords: np.ndarray, corner_local: int) -> np.ndarray:
-    """Split a triangle geometrically towards its ``corner_local`` vertex.
+def _corner_rules():
+    """Barycentric rules of the graded corner subdivision, one per corner.
 
-    Rings shrink by factor 1/4 per level; the innermost scaled copy is kept
-    whole.  Returns a (2 * levels + 1, 3, 2) stack of sub-triangles.
+    With the corner at local vertex k, the element is o + s p + t q with
+    o its corner, p and q the edges to the next two vertices.  Rings in
+    (s, t) shrink by the factor 1/4 per level; the innermost scaled copy is
+    kept whole.  Each of the 2 * levels + 1 sub-triangles carries the
+    6-point rule, so a rule is (54, 3) barycentric points and (54,) weights
+    that sum to one.
     """
-    o = coords[corner_local]
-    p = coords[(corner_local + 1) % 3] - o
-    q = coords[(corner_local + 2) % 3] - o
     subs = []
     outer = 1.0
     for _ in range(_CORNER_LEVELS):
         inner = outer * _CORNER_RATIO
-        subs.append([o + inner * p, o + outer * p, o + outer * q])
-        subs.append([o + inner * p, o + outer * q, o + inner * q])
+        subs.append([(inner, 0.0), (outer, 0.0), (0.0, outer)])
+        subs.append([(inner, 0.0), (0.0, outer), (0.0, inner)])
         outer = inner
-    subs.append([o, o + outer * p, o + outer * q])
-    return np.array(subs)
+    subs.append([(0.0, 0.0), (outer, 0.0), (0.0, outer)])
+    subs = np.array(subs)  # (9, 3, 2) in (s, t)
+    st = np.einsum("qk,jkd->jqd", _TRI_RULE_BARY, subs).reshape(-1, 2)
+    u, v = subs[:, 1] - subs[:, 0], subs[:, 2] - subs[:, 0]
+    area_share = np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])  # 2 |sub|
+    weights = np.outer(area_share, _TRI_RULE_W).ravel()
+    rules = []
+    for k in range(3):
+        lam = np.empty((len(st), 3))
+        lam[:, k] = 1.0 - st.sum(axis=1)
+        lam[:, (k + 1) % 3] = st[:, 0]
+        lam[:, (k + 2) % 3] = st[:, 1]
+        rules.append((lam, weights))
+    return tuple(rules)
 
 
-def _triangle_rule(coords: np.ndarray):
-    """Quadrature points and weights (area-scaled) for one triangle."""
-    pts = _TRI_RULE_BARY @ coords
-    u = coords[1] - coords[0]
-    v = coords[2] - coords[0]
-    area = 0.5 * abs(u[0] * v[1] - u[1] * v[0])
-    return pts, _TRI_RULE_W * area
-
-
-def _element_rule(coords: np.ndarray, singular_point):
-    """Quadrature for one element, subdivided when it touches the point."""
-    if singular_point is not None:
-        dist = np.linalg.norm(coords - singular_point, axis=1)
-        corner = int(np.argmin(dist))
-        if dist[corner] <= 1e-12 * max(1.0, float(dist.max())):
-            pieces = [
-                _triangle_rule(sub)
-                for sub in _corner_subtriangles(coords, corner)
-            ]
-            return (
-                np.concatenate([p for p, _ in pieces]),
-                np.concatenate([w for _, w in pieces]),
-            )
-    return _triangle_rule(coords)
-
-
-def _barycentric(coords: np.ndarray, points: np.ndarray):
-    """Barycentric coordinates of ``points`` in the triangle ``coords``."""
-    trans = np.linalg.inv((coords[1:] - coords[0]).T)
-    lam12 = (trans @ (points - coords[0]).T).T
-    lam0 = 1.0 - lam12.sum(axis=1)
-    return np.column_stack([lam0, lam12]), trans
+_CORNER_RULES = _corner_rules()
 
 
 def h1_projection_indicator(
@@ -419,36 +404,41 @@ def h1_projection_indicator(
     the indicator of element T is the squared L2 norm of the deficit plus
     the squared L2 norm of its gradient on T.  Elements touching
     ``singular_point`` are integrated on a geometrically graded subdivision.
+    ``fn`` and ``grad_fn`` take points of shape (..., 2) and return values
+    of shape (...) and gradients of shape (..., 2).
     """
-    from scipy.sparse.linalg import splu
-
-    from .assembly import assemble_mass_p1
-
     if mesh.dim != 2:
         raise UnsupportedDimension("the H1 indicator is implemented for 2D meshes")
 
-    rules = [
-        _element_rule(mesh.vertices[tri], singular_point) for tri in mesh.elements
-    ]
-
-    mass = assemble_mass_p1(mesh)
+    coords = mesh.vertices[mesh.elements]
+    # rule 0 is the 6-point rule, rule 1 + k the subdivision towards vertex k
+    rule_of = np.zeros(mesh.num_elements, dtype=np.int64)
+    if singular_point is not None:
+        dist = np.linalg.norm(coords - singular_point, axis=2)
+        corner = np.argmin(dist, axis=1)
+        touches = dist.min(axis=1) <= 1e-12 * np.maximum(1.0, dist.max(axis=1))
+        rule_of[touches] = 1 + corner[touches]
+    rules = ((_TRI_RULE_BARY, _TRI_RULE_W),) + _CORNER_RULES
+    groups = []
+    local = np.empty((mesh.num_elements, 3))
+    for r, (lam, w) in enumerate(rules):
+        ids = np.flatnonzero(rule_of == r)
+        if ids.size:
+            pts = np.einsum("qi,tid->tqd", lam, coords[ids])
+            wts, values = w * mesh.volumes[ids, None], fn(pts)
+            local[ids] = (wts * values) @ lam
+            groups.append((ids, lam, wts, pts, values))
     rhs = np.zeros(mesh.num_vertices)
-    bary_cache = []
-    for tri, (pts, wts) in zip(mesh.elements, rules):
-        lam, trans = _barycentric(mesh.vertices[tri], pts)
-        bary_cache.append((lam, trans))
-        rhs[tri] += (lam * (wts * fn(pts))[:, None]).sum(axis=0)
-    nodal = splu(mass.tocsc()).solve(rhs)
+    np.add.at(rhs, mesh.elements, local)
+    nodal = splu(assemble_mass_p1(mesh).tocsc()).solve(rhs)[mesh.elements]
 
+    grad_nodal = np.einsum("ti,tid->td", nodal, _p1_gradients(mesh))
     mu = np.empty(mesh.num_elements)
-    for e, (tri, (pts, wts)) in enumerate(zip(mesh.elements, rules)):
-        lam, trans = bary_cache[e]
-        deficit = fn(pts) - lam @ nodal[tri]
-        grad_lam = np.vstack([-trans.sum(axis=0), trans])  # rows: d lambda_i
-        grad_deficit = grad_fn(pts) - nodal[tri] @ grad_lam
-        mu[e] = np.sum(wts * deficit**2) + np.sum(
-            wts * np.sum(grad_deficit**2, axis=1)
-        )
+    for ids, lam, wts, pts, values in groups:
+        deficit = values - nodal[ids] @ lam.T
+        grad_deficit = grad_fn(pts) - grad_nodal[ids, None, :]
+        squared = deficit**2 + np.sum(grad_deficit**2, axis=2)
+        mu[ids] = np.sum(wts * squared, axis=1)
     return mu
 
 

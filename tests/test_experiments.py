@@ -234,6 +234,14 @@ def test_cli_config_error_exit():
     assert proc.stderr != ""
 
 
+def test_cli_unopenable_out_is_a_config_error(tmp_path):
+    proc = run_cli("--dim", "2", "--levels", "1",
+                   "--out", str(tmp_path / "no" / "such" / "x.csv"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("quasidiag: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_solver_failure_exit():
     proc = run_cli("--dim", "2", "--levels", "2", "--max-iter", "1",
                    "--tol", "1e-14")
