@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
+from quasidiag.assembly import assemble_mass_p1
 from quasidiag.errors import DimensionError, UnsupportedDimension
 from quasidiag.mesh import (
     SimplicialMesh,
@@ -25,6 +27,7 @@ from quasidiag.refine import (
     _CORNER_RULES,
     _TRI_RULE_BARY,
     _TRI_RULE_W,
+    _append_midpoints,
     _path_children_pattern,
     adaptive_refine,
     corner_singularity,
@@ -462,10 +465,6 @@ def _oracle_barycentric(coords, points):
 
 def _oracle_indicator(mesh, fn, grad_fn, singular_point=None):
     """One quadrature rule and one barycentric solve per element."""
-    from scipy.sparse.linalg import splu
-
-    from quasidiag.assembly import assemble_mass_p1
-
     rules = [
         _oracle_element_rule(mesh.vertices[tri], singular_point)
         for tri in mesh.elements
@@ -491,8 +490,6 @@ def _oracle_indicator(mesh, fn, grad_fn, singular_point=None):
 
 def _oracle_nvb_refine(mesh, marked):
     """NVB with closure, children listed element by element."""
-    from quasidiag.refine import _append_midpoints
-
     topo = mesh.facets
     ef = topo.element_facets
     marked_edge = np.zeros(len(topo), dtype=bool)
