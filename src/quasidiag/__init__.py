@@ -34,17 +34,12 @@ from .experiments import (
     write_csv,
 )
 from .mesh import (
-    Facet,
     FacetTopology,
-    MeshQuality,
     SimplicialMesh,
     boundary_measure,
     enumerate_facets,
     facet_measure,
     initial_mesh,
-    load_mesh,
-    mesh_quality,
-    save_mesh,
     simplex_volume,
     validate_mesh,
 )
@@ -62,7 +57,6 @@ from .refine import (
     corner_singularity,
     corner_singularity_gradient,
     dorfler_mark,
-    h1_projection_deficit_norm_sq,
     h1_projection_indicator,
     nvb_refine,
     singular_indicator,

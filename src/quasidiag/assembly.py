@@ -177,10 +177,6 @@ class BasisSet:
         return math.comb(self.degree + self.mesh.dim, self.degree)
 
     @property
-    def num_bubbles_per_element(self) -> int:
-        return self.fields_per_element - 1
-
-    @property
     def size(self) -> int:
         return self.fields_per_element * self.mesh.num_elements
 

@@ -27,7 +27,6 @@ Element ordering conventions:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -43,6 +42,10 @@ SUPPORTED_DIMS = (2, 3, 4)
 
 # relative volume below which a simplex counts as flat
 DEGENERACY_RTOL = 1e-14
+
+# relative gap in volume or boundary measure that :func:`validate_mesh`
+# reports as non-conforming
+CONFORMITY_RTOL = 1e-12
 
 
 def _pairwise_diameter(points: np.ndarray) -> np.ndarray:
@@ -108,21 +111,6 @@ def _batch_facet_measures(coords: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(dets, 0.0)) / factorial(n - 1)
 
 
-@dataclass(frozen=True)
-class Facet:
-    """Single-facet view: sorted vertex ids plus adjacency and geometry."""
-
-    vertex_ids: tuple[int, ...]
-    plus_element: int
-    minus_element: int | None
-    measure: float
-    diameter: float
-
-    @property
-    def is_boundary(self) -> bool:
-        return self.minus_element is None
-
-
 class FacetTopology:
     """All facets of a mesh in deterministic order.
 
@@ -133,33 +121,19 @@ class FacetTopology:
     element ``e``.
     """
 
-    def __init__(self, vertex_ids, plus, minus, measure, diameter, element_facets):
+    def __init__(self, vertex_ids, plus, minus, measure, element_facets):
         self.vertex_ids = vertex_ids
         self.plus = plus
         self.minus = minus
         self.measure = measure
-        self.diameter = diameter
         self.element_facets = element_facets
-        for arr in (vertex_ids, plus, minus, measure, diameter, element_facets):
+        for arr in (vertex_ids, plus, minus, measure, element_facets):
             arr.setflags(write=False)
         self.is_boundary = minus < 0
         self.is_boundary.setflags(write=False)
 
     def __len__(self) -> int:
         return self.vertex_ids.shape[0]
-
-    def __getitem__(self, i: int) -> Facet:
-        if not -len(self) <= i < len(self):
-            raise IndexError(i)
-        i = int(i) % len(self)
-        minus = int(self.minus[i])
-        return Facet(
-            vertex_ids=tuple(int(v) for v in self.vertex_ids[i]),
-            plus_element=int(self.plus[i]),
-            minus_element=None if minus < 0 else minus,
-            measure=float(self.measure[i]),
-            diameter=float(self.diameter[i]),
-        )
 
     @property
     def num_boundary(self) -> int:
@@ -290,8 +264,7 @@ def enumerate_facets(mesh: SimplicialMesh) -> FacetTopology:
     if np.any(measure <= 0.0):
         f = int(np.argmax(measure <= 0.0))
         raise DegenerateSimplex(f"facet {tuple(vertex_ids[f])} is flat")
-    diameter = _pairwise_diameter(coords)
-    return FacetTopology(vertex_ids, plus, minus, measure, diameter, element_facets)
+    return FacetTopology(vertex_ids, plus, minus, measure, element_facets)
 
 
 def boundary_measure(mesh: SimplicialMesh) -> float:
@@ -300,53 +273,25 @@ def boundary_measure(mesh: SimplicialMesh) -> float:
     return float(f.measure[f.is_boundary].sum())
 
 
-@dataclass(frozen=True)
-class MeshQuality:
-    """Shape regularity summary: gamma = max over T of diam(T)^n / |T|."""
+def validate_mesh(mesh: SimplicialMesh, domain: SimplicialMesh) -> None:
+    """Check that ``mesh`` is a conforming mesh of ``domain``'s region.
 
-    gamma: float
-
-
-def mesh_quality(mesh: SimplicialMesh) -> MeshQuality:
-    ratios = mesh.diameters**mesh.dim / mesh.volumes
-    return MeshQuality(gamma=float(ratios.max()))
-
-
-def validate_mesh(mesh: SimplicialMesh, check_hanging: bool = False) -> None:
-    """Run conformity checks; raise on failure.
-
-    Facet matching (1 or 2 owners per facet) always runs.  With
-    ``check_hanging`` a quadratic scan verifies that no vertex lies in the
-    relative interior of a facet it does not span, which catches mismatched
-    refinements on meshes small enough to afford it.
+    ``domain`` is any conforming mesh of the same region, usually the coarse
+    mesh that ``mesh`` was refined from.  Facet matching (one or two owners
+    per facet) runs through ``mesh.facets``.  A refinement that tiles the
+    region is conforming exactly when its volume equals |Omega| and its
+    boundary-facet measure equals |dOmega|: a facet that does not match the
+    pieces on its other side has one owner, and so do the pieces, so both
+    count as boundary and add twice the facet's measure.  Raises
+    :class:`NonManifoldMesh` when either differs from ``domain``'s by more
+    than ``CONFORMITY_RTOL`` relative.
     """
-    topo = mesh.facets  # raises NonManifoldMesh on bad adjacency
-    if not check_hanging:
-        return
-    verts = mesh.vertices
-    tol = 1e-9
-    for i in range(len(topo)):
-        ids = topo.vertex_ids[i]
-        coords = verts[ids]
-        origin = coords[0]
-        span = (coords[1:] - origin).T  # n x (n-1)
-        others = np.setdiff1d(np.arange(mesh.num_vertices), ids, assume_unique=False)
-        rel = verts[others] - origin
-        sol, residual, *_ = np.linalg.lstsq(span, rel.T, rcond=None)
-        inplane = np.linalg.norm(span @ sol - rel.T, axis=0) <= tol * max(
-            1.0, float(topo.diameter[i])
-        )
-        if not np.any(inplane):
-            continue
-        lam = sol.T[inplane]
-        lam0 = 1.0 - lam.sum(axis=1)
-        bary = np.column_stack([lam0, lam])
-        inside = np.all(bary > tol, axis=1)
-        if np.any(inside):
-            v = others[inplane][np.argmax(inside)]
-            raise NonManifoldMesh(
-                f"vertex {int(v)} hangs inside facet {tuple(int(x) for x in ids)}"
-            )
+    for name, got, want in (
+        ("boundary measure", boundary_measure(mesh), boundary_measure(domain)),
+        ("volume", mesh.total_volume(), domain.total_volume()),
+    ):
+        if abs(got - want) > CONFORMITY_RTOL * want:
+            raise NonManifoldMesh(f"{name} {got!r} differs from the domain's {want!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -457,40 +402,3 @@ def initial_mesh(dim: int) -> SimplicialMesh:
     if dim == 4:
         return _initial_mesh_4d()
     raise UnsupportedDimension(f"dim must be one of {SUPPORTED_DIMS}, got {dim}")
-
-
-# ---------------------------------------------------------------------------
-# plain-text serialization
-
-
-def save_mesh(mesh: SimplicialMesh, path) -> None:
-    """Write ``dim nV nT`` header, vertex lines, then 0-based element lines."""
-    lines = [f"{mesh.dim} {mesh.num_vertices} {mesh.num_elements}"]
-    for row in mesh.vertices:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    for row in mesh.elements:
-        lines.append(" ".join(str(int(v)) for v in row))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_mesh(path) -> SimplicialMesh:
-    """Read a mesh written by :func:`save_mesh` and validate its conformity."""
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split("\n")
-    header = tokens[0].split()
-    if len(header) != 3:
-        raise DimensionError(f"malformed mesh header: {tokens[0]!r}")
-    dim, num_vertices, num_elements = (int(t) for t in header)
-    body = [line for line in tokens[1:] if line.strip()]
-    if len(body) != num_vertices + num_elements:
-        raise DimensionError(
-            f"expected {num_vertices + num_elements} data lines, got {len(body)}"
-        )
-    vertices = np.array([[float(x) for x in line.split()] for line in body[:num_vertices]])
-    elements = np.array(
-        [[int(x) for x in line.split()] for line in body[num_vertices:]], dtype=np.int64
-    )
-    mesh = SimplicialMesh(dim, vertices, elements)
-    validate_mesh(mesh)
-    return mesh

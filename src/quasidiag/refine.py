@@ -442,13 +442,6 @@ def h1_projection_indicator(
     return mu
 
 
-def h1_projection_deficit_norm_sq(
-    mesh: SimplicialMesh, fn, grad_fn, singular_point=None
-) -> float:
-    """Global counterpart of :func:`h1_projection_indicator` (summed)."""
-    return float(h1_projection_indicator(mesh, fn, grad_fn, singular_point).sum())
-
-
 def singular_indicator(mesh: SimplicialMesh) -> np.ndarray:
     """H1 projection indicator for the reentrant-corner singular function."""
     return h1_projection_indicator(

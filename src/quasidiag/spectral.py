@@ -142,7 +142,7 @@ class GramOperator:
         if x.size != self.dim:
             raise DimensionError(f"expected vector of size {self.dim}, got {x.size}")
         out = self.beta * (self.weighted_mass @ x)
-        if self.pairing is not None and self.pairing.shape[0] > 0:
+        if self.pairing is not None:
             out = out + self._pairing_t @ self.r_solve(self.pairing @ x)
         return out
 

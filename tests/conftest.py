@@ -15,6 +15,11 @@ hypothesis.settings.load_profile("default")
 np.seterr(divide="raise", over="raise", invalid="raise")
 
 
+def shape_gamma(mesh):
+    """Shape regularity gamma = max over T of diam(T)^n / |T|."""
+    return float((mesh.diameters**mesh.dim / mesh.volumes).max())
+
+
 @pytest.fixture(scope="session")
 def lshape2d():
     return initial_mesh(2)

@@ -5,6 +5,7 @@ from math import factorial
 
 import numpy as np
 import pytest
+from conftest import shape_gamma
 from hypothesis import given, strategies as st
 
 from quasidiag import (
@@ -13,10 +14,8 @@ from quasidiag import (
     enumerate_facets,
     facet_measure,
     initial_mesh,
-    load_mesh,
-    mesh_quality,
-    save_mesh,
     simplex_volume,
+    uniform_refine,
     validate_mesh,
 )
 from quasidiag.errors import (
@@ -147,18 +146,18 @@ def test_single_triangle_all_boundary():
     topo = mesh.facets
     assert len(topo) == 3
     assert topo.num_boundary == 3
-    assert all(topo[i].minus_element is None for i in range(3))
+    assert np.all(topo.minus == -1)
 
 
 def test_shared_edge_adjacency():
     topo = two_triangle_square().facets
     assert len(topo) == 5
-    interior = [topo[i] for i in range(5) if not topo[i].is_boundary]
+    interior = np.flatnonzero(~topo.is_boundary)
     assert len(interior) == 1
     facet = interior[0]
-    assert facet.vertex_ids == (0, 2)
-    assert facet.plus_element == 0 and facet.minus_element == 1
-    assert facet.measure == pytest.approx(np.sqrt(2.0), rel=1e-15)
+    assert tuple(topo.vertex_ids[facet]) == (0, 2)
+    assert topo.plus[facet] == 0 and topo.minus[facet] == 1
+    assert topo.measure[facet] == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
 
 def test_lshape_facet_counts(lshape2d):
@@ -201,11 +200,6 @@ def test_facet_enumeration_deterministic(lshape2d):
     assert np.array_equal(a.measure, b.measure)
 
 
-def test_facet_diameter_bounded_by_element(lshape2d):
-    topo = lshape2d.facets
-    assert np.all(topo.diameter <= lshape2d.diameters[topo.plus] + 1e-15)
-
-
 def test_nonmanifold_raises():
     vertices = np.array(
         [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
@@ -223,8 +217,28 @@ def test_hanging_vertex_detected():
     )
     elements = np.array([[0, 1, 2], [0, 3, 4]])
     mesh = SimplicialMesh(2, vertices, elements)
+    # the same region with element 0 split at vertex 3
+    domain = SimplicialMesh(2, vertices, np.array([[0, 3, 2], [3, 1, 2], [0, 3, 4]]))
     with pytest.raises(NonManifoldMesh):
-        validate_mesh(mesh, check_hanging=True)
+        validate_mesh(mesh, domain)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_hanging_midpoints_detected(dim):
+    """One element refined and its neighbours left whole.
+
+    The midpoints hang on edges of the neighbours' facets, where one
+    barycentric coordinate is zero.
+    """
+    coarse = initial_mesh(dim)
+    one = SimplicialMesh(dim, coarse.vertices, coarse.elements[:1])
+    # refinement keeps the coarse vertex ids and appends the midpoints
+    fine = uniform_refine(one)
+    elements = np.vstack([fine.elements, coarse.elements[1:]])
+    mesh = SimplicialMesh(dim, fine.vertices, elements)
+    assert mesh.total_volume() == pytest.approx(coarse.total_volume(), rel=1e-12)
+    with pytest.raises(NonManifoldMesh):
+        validate_mesh(mesh, coarse)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +250,6 @@ def test_initial_2d(lshape2d):
     assert lshape2d.volumes == pytest.approx(np.full(12, 0.25), rel=1e-14)
     assert lshape2d.total_volume() == pytest.approx(3.0, rel=1e-12)
     assert boundary_measure(lshape2d) == pytest.approx(8.0, rel=1e-12)
-    validate_mesh(lshape2d, check_hanging=True)
 
 
 def test_initial_2d_refinement_edge_is_longest(lshape2d):
@@ -255,7 +268,6 @@ def test_initial_3d(lprism3d):
     assert lprism3d.total_volume() == pytest.approx(3.0, rel=1e-12)
     assert np.all(lprism3d.volumes > 0)
     assert boundary_measure(lprism3d) == pytest.approx(14.0, rel=1e-12)
-    validate_mesh(lprism3d, check_hanging=True)
 
 
 def test_initial_4d(cube4d):
@@ -263,7 +275,6 @@ def test_initial_4d(cube4d):
     assert cube4d.volumes == pytest.approx(np.full(24, 1.0 / 24.0), rel=1e-12)
     assert cube4d.total_volume() == pytest.approx(1.0, rel=1e-12)
     assert boundary_measure(cube4d) == pytest.approx(8.0, rel=1e-12)
-    validate_mesh(cube4d, check_hanging=True)
 
 
 def test_initial_mesh_rejects_bad_dim():
@@ -274,8 +285,8 @@ def test_initial_mesh_rejects_bad_dim():
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_quality_finite(dim):
-    q = mesh_quality(initial_mesh(dim))
-    assert np.isfinite(q.gamma) and q.gamma > 0
+    gamma = shape_gamma(initial_mesh(dim))
+    assert np.isfinite(gamma) and gamma > 0
 
 
 def test_adjacent_diameter_ratio_bounded(lprism3d):
@@ -288,7 +299,7 @@ def test_adjacent_diameter_ratio_bounded(lprism3d):
 
 
 # ---------------------------------------------------------------------------
-# construction errors and serialization
+# construction errors
 
 
 def test_repeated_vertex_rejected():
@@ -313,23 +324,3 @@ def test_mesh_arrays_immutable(lshape2d):
         lshape2d.vertices[0, 0] = 5.0
     with pytest.raises(ValueError):
         lshape2d.elements[0, 0] = 5
-
-
-@pytest.mark.parametrize("dim", [2, 3, 4])
-def test_save_load_roundtrip(tmp_path, dim):
-    mesh = initial_mesh(dim)
-    path = tmp_path / f"mesh{dim}.txt"
-    save_mesh(mesh, path)
-    back = load_mesh(path)
-    assert back.dim == mesh.dim
-    assert np.array_equal(back.vertices, mesh.vertices)
-    assert np.array_equal(back.elements, mesh.elements)
-    header = path.read_text().splitlines()[0]
-    assert header == f"{mesh.dim} {mesh.num_vertices} {mesh.num_elements}"
-
-
-def test_load_rejects_truncated_file(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("2 3 1\n0.0 0.0\n1.0 0.0\n")
-    with pytest.raises(DimensionError):
-        load_mesh(path)
