@@ -6,8 +6,10 @@ variants, both field degrees, plus the adaptive runs in 2d) and writes
 one CSV per configuration into the output directory, a row at a time.  A
 solver or eigenvalue failure ends that table early, keeping the rows written
 so far; the sweep goes on with the next configuration and exits with
-status 3.  With default level caps the whole sweep takes about 10 minutes on
-two cores, most of it in the diagonal comparison at 2d level 7.
+status 3.  An invalid configuration (say ``--levels 0``) exits with status 2
+before any file is written.  With default level caps the whole sweep takes
+about 10 minutes on two cores, most of it in the diagonal comparison at 2d
+level 7.
 """
 
 import argparse
@@ -17,7 +19,7 @@ import sys
 import time
 from pathlib import Path
 
-from quasidiag.errors import EigsNotConverged, SolverFailure
+from quasidiag.errors import ConfigError, EigsNotConverged, SolverFailure
 from quasidiag.experiments import ExperimentConfig, csv_writer, format_row, run_experiment
 
 
@@ -44,21 +46,27 @@ def main(argv=None):
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    chosen = [cfg for cfg in configurations()
-              if args.only is None or args.only in tag(cfg)]
+    chosen = []
+    for cfg in configurations():
+        if args.only is None or args.only in tag(cfg):
+            if args.levels is not None:
+                cfg = dataclasses.replace(cfg, levels=args.levels)
+            chosen.append(dataclasses.replace(cfg, seed=args.seed).resolved())
     if not chosen:
         print(f"no configuration matches --only {args.only!r}", file=sys.stderr)
         return 2
+    for cfg in chosen:
+        try:
+            cfg.validate()
+        except ConfigError as exc:
+            print(f"{tag(cfg)}: {exc}", file=sys.stderr)
+            return 2
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     grand_start = time.perf_counter()
     failed = []
     for cfg in chosen:
-        if args.levels is not None:
-            cfg = dataclasses.replace(cfg, levels=args.levels)
-        cfg = dataclasses.replace(cfg, seed=args.seed)
         name = tag(cfg)
         if not args.quiet:
             print(f"== {name}")

@@ -38,9 +38,7 @@ from .mesh import (
     SimplicialMesh,
     boundary_measure,
     enumerate_facets,
-    facet_measure,
     initial_mesh,
-    simplex_volume,
     validate_mesh,
 )
 from .precond import (
@@ -61,7 +59,6 @@ from .refine import (
     nvb_refine,
     singular_indicator,
     uniform_refine,
-    with_refinement_edges,
 )
 from .spectral import (
     GramOperator,

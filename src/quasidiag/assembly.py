@@ -31,14 +31,6 @@ from .mesh import SimplicialMesh
 BOUNDARY_CONDITIONS = ("dirichlet", "free")
 
 
-def _check_boundary_condition(bc: str) -> str:
-    if bc not in BOUNDARY_CONDITIONS:
-        raise DimensionError(
-            f"boundary condition must be one of {BOUNDARY_CONDITIONS}, got {bc!r}"
-        )
-    return bc
-
-
 # ---------------------------------------------------------------------------
 # vertex bookkeeping
 
@@ -56,9 +48,13 @@ def p1_vertex_ids(mesh: SimplicialMesh, boundary_condition: str) -> np.ndarray:
     The dirichlet variant removes every boundary vertex and raises
     :class:`EmptySpace` when nothing remains.
     """
-    _check_boundary_condition(boundary_condition)
     if boundary_condition == "free":
         return np.arange(mesh.num_vertices, dtype=np.int64)
+    if boundary_condition != "dirichlet":
+        raise DimensionError(
+            f"boundary condition must be one of {BOUNDARY_CONDITIONS}, "
+            f"got {boundary_condition!r}"
+        )
     keep = np.setdiff1d(
         np.arange(mesh.num_vertices, dtype=np.int64), boundary_vertices(mesh)
     )
@@ -195,24 +191,14 @@ def basis_set(mesh: SimplicialMesh, degree: int) -> BasisSet:
 def assemble_M(mesh: SimplicialMesh, basis: BasisSet, boundary_condition: str):
     """Pairing of the P1 space with the piecewise basis, <chi, eta>.
 
-    Rows follow :func:`p1_vertex_ids`; columns follow the BasisSet layout.
-    The dirichlet variant with an empty interior space yields a 0-row
-    matrix rather than an error, so the row map is built here instead of
-    through :func:`p1_vertex_ids`, which raises.
+    Rows follow :func:`p1_vertex_ids`, which raises :class:`EmptySpace` on
+    an empty dirichlet space; columns follow the BasisSet layout.
     """
-    _check_boundary_condition(boundary_condition)
     n = mesh.dim
     nT = mesh.num_elements
-    if boundary_condition == "free":
-        row_of = np.arange(mesh.num_vertices, dtype=np.int64)
-        num_rows = mesh.num_vertices
-    else:
-        keep = np.setdiff1d(
-            np.arange(mesh.num_vertices, dtype=np.int64), boundary_vertices(mesh)
-        )
-        row_of = np.full(mesh.num_vertices, -1, dtype=np.int64)
-        row_of[keep] = np.arange(keep.size)
-        num_rows = keep.size
+    keep = p1_vertex_ids(mesh, boundary_condition)
+    row_of = np.full(mesh.num_vertices, -1, dtype=np.int64)
+    row_of[keep] = np.arange(keep.size)
 
     rows = []
     cols = []
@@ -239,7 +225,7 @@ def assemble_M(mesh: SimplicialMesh, basis: BasisSet, boundary_condition: str):
     vals = np.concatenate(vals)
     inside = rows >= 0
     return sp.coo_matrix(
-        (vals[inside], (rows[inside], cols[inside])), shape=(num_rows, basis.size)
+        (vals[inside], (rows[inside], cols[inside])), shape=(keep.size, basis.size)
     ).tocsr()
 
 

@@ -10,7 +10,12 @@ class DegenerateSimplex(MeshError):
 
 
 class NonManifoldMesh(MeshError):
-    """A facet is shared by more than two elements."""
+    """A mesh that does not conform.
+
+    Raised for a facet shared by more than two elements, and by
+    :func:`quasidiag.mesh.validate_mesh` for a volume or boundary measure
+    that differs from the domain's.
+    """
 
 
 class UnsupportedDimension(MeshError):
@@ -30,7 +35,12 @@ class ConfigError(Exception):
 
 
 class SolverFailure(Exception):
-    """An iterative solve missed its tolerance within the iteration cap."""
+    """An iterative solve or eigenvalue estimate broke down.
+
+    Raised when conjugate gradients miss their tolerance within the
+    iteration cap, and when conjugate gradients or Lanczos meet a direction
+    of non-positive curvature (an operator that is not positive definite).
+    """
 
     def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)

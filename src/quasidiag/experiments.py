@@ -9,6 +9,8 @@ produced so an aborted run leaves a usable partial file.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, replace
@@ -87,16 +89,19 @@ class ExperimentConfig:
             raise ConfigError(f"refine must be one of {REFINE_MODES}, got {self.refine!r}")
         if self.refine == "adaptive" and self.dim != 2:
             raise ConfigError("adaptive refinement is only available in 2D")
-        if self.levels is None or int(self.levels) != self.levels or self.levels < 1:
-            raise ConfigError(f"levels must be a positive integer, got {self.levels}")
+        for name in ("levels", "max_iter"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if not 0.0 < self.theta <= 1.0:
             raise ConfigError(f"theta must lie in (0, 1], got {self.theta}")
-        for name in ("alpha", "beta", "tol"):
+        for name in ("alpha", "beta"):
             value = getattr(self, name)
-            if value is None or value <= 0.0:
-                raise ConfigError(f"{name} must be positive, got {value}")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be at least 1, got {self.max_iter}")
+            if value is None or not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        # a relative Ritz bound of 1 or more allows any eigenvalue in (0, 2 theta]
+        if not 0.0 < self.tol < 1.0:
+            raise ConfigError(f"tol must lie in (0, 1), got {self.tol}")
 
 
 @dataclass(frozen=True)

@@ -57,60 +57,6 @@ def _pairwise_diameter(points: np.ndarray) -> np.ndarray:
     return diam
 
 
-def simplex_volume(coords) -> float:
-    """Volume of the n-simplex spanned by n+1 points in R^n.
-
-    Computed as |det(v_1 - v_0, ..., v_n - v_0)| / n!.  Raises
-    :class:`DegenerateSimplex` when the volume vanishes relative to the
-    simplex diameter.
-    """
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim != 2 or coords.shape[0] != coords.shape[1] + 1:
-        raise DimensionError(f"expected (n+1, n) vertex array, got {coords.shape}")
-    n = coords.shape[1]
-    vol = abs(np.linalg.det(coords[1:] - coords[0])) / factorial(n)
-    diam = _pairwise_diameter(coords[None])[0]
-    if vol <= DEGENERACY_RTOL * diam**n:
-        raise DegenerateSimplex(f"flat simplex, volume {vol:.3e}, diameter {diam:.3e}")
-    return float(vol)
-
-
-def facet_measure(coords) -> float:
-    """(n-1)-measure of the simplex spanned by n points in R^n.
-
-    Uses the Gram determinant sqrt(det(G^T G)) / (n-1)! with G the matrix of
-    edge vectors.  Raises :class:`DegenerateSimplex` for flat facets.
-    """
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim != 2 or coords.shape[0] != coords.shape[1]:
-        raise DimensionError(f"expected (n, n) vertex array, got {coords.shape}")
-    n = coords.shape[1]
-    edges = (coords[1:] - coords[0]).T  # n x (n-1)
-    gram = edges.T @ edges
-    det = np.linalg.det(gram)
-    measure = np.sqrt(max(det, 0.0)) / factorial(n - 1)
-    diam = _pairwise_diameter(coords[None])[0]
-    if measure <= DEGENERACY_RTOL * diam ** (n - 1):
-        raise DegenerateSimplex(f"flat facet, measure {measure:.3e}")
-    return float(measure)
-
-
-def _batch_volumes(vertices: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    n = vertices.shape[1]
-    coords = vertices[elements]
-    dets = np.linalg.det(coords[:, 1:, :] - coords[:, :1, :])
-    return np.abs(dets) / factorial(n)
-
-
-def _batch_facet_measures(coords: np.ndarray) -> np.ndarray:
-    """Measures for a stack of facets given as (m, n, n) coordinates."""
-    n = coords.shape[2]
-    edges = coords[:, 1:, :] - coords[:, :1, :]  # (m, n-1, n)
-    gram = edges @ edges.transpose(0, 2, 1)
-    dets = np.linalg.det(gram)
-    return np.sqrt(np.maximum(dets, 0.0)) / factorial(n - 1)
-
-
 class FacetTopology:
     """All facets of a mesh in deterministic order.
 
@@ -134,14 +80,6 @@ class FacetTopology:
 
     def __len__(self) -> int:
         return self.vertex_ids.shape[0]
-
-    @property
-    def num_boundary(self) -> int:
-        return int(np.count_nonzero(self.is_boundary))
-
-    @property
-    def num_interior(self) -> int:
-        return len(self) - self.num_boundary
 
 
 class SimplicialMesh:
@@ -178,7 +116,8 @@ class SimplicialMesh:
         self.vertices = vertices
         self.elements = elements
         coords = vertices[elements]
-        self.volumes = _batch_volumes(vertices, elements)
+        dets = np.linalg.det(coords[:, 1:, :] - coords[:, :1, :])
+        self.volumes = np.abs(dets) / factorial(dim)
         self.diameters = _pairwise_diameter(coords)
         flat = self.volumes <= DEGENERACY_RTOL * self.diameters**dim
         if np.any(flat):
@@ -259,8 +198,11 @@ def enumerate_facets(mesh: SimplicialMesh) -> FacetTopology:
     element_facets = np.empty((nT, n + 1), dtype=np.int64)
     element_facets[owner_sorted, k_sorted] = group_id
 
+    # Gram determinant of the edge vectors, |F| = sqrt(det(E E^T)) / (n-1)!
     coords = mesh.vertices[vertex_ids]
-    measure = _batch_facet_measures(coords)
+    edges = coords[:, 1:, :] - coords[:, :1, :]
+    dets = np.linalg.det(edges @ edges.transpose(0, 2, 1))
+    measure = np.sqrt(np.maximum(dets, 0.0)) / factorial(n - 1)
     if np.any(measure <= 0.0):
         f = int(np.argmax(measure <= 0.0))
         raise DegenerateSimplex(f"facet {tuple(vertex_ids[f])} is flat")

@@ -6,8 +6,8 @@ Refinement schemes by dimension:
   refinement edge as (a, b); the newest vertex sits last.  Bisection at the
   midpoint m of (a, b) produces (c, a, m) and (b, c, m), so each child's
   refinement edge is one of the remaining parent edges.  Uniform refinement
-  bisects every element and then both children, yielding 4 children per
-  element and a conforming mesh without closure.
+  is NVB with every edge marked: each element is bisected and then both
+  children, yielding 4 children per element.
 * n = 3: red refinement into 8 children: 4 corner tetrahedra plus a 4-way
   split of the interior octahedron along its shortest diagonal (ties broken
   by local index order).
@@ -57,53 +57,6 @@ def _append_midpoints(vertices: np.ndarray, edges: np.ndarray):
 # 2D newest-vertex bisection
 
 
-def with_refinement_edges(mesh: SimplicialMesh) -> SimplicialMesh:
-    """Rotate each 2D element so its longest edge comes first.
-
-    Ties are broken by the lowest global index of the opposite vertex.  Use
-    this to prepare externally constructed meshes for NVB; meshes produced by
-    :func:`quasidiag.mesh.initial_mesh` and the refiners already comply.
-    """
-    if mesh.dim != 2:
-        raise UnsupportedDimension("refinement edges only apply to 2D meshes")
-    coords = mesh.vertices[mesh.elements]
-    lengths = np.stack(
-        [
-            np.linalg.norm(coords[:, (k + 1) % 3] - coords[:, (k + 2) % 3], axis=1)
-            for k in range(3)
-        ],
-        axis=1,
-    )
-    longest = lengths.max(axis=1, keepdims=True)
-    tied = lengths >= longest * (1.0 - 1e-12)
-    opposite = np.where(tied, mesh.elements, np.iinfo(np.int64).max)
-    k_star = np.argmin(opposite, axis=1)
-    rows = np.arange(mesh.num_elements)
-    rotated = np.column_stack(
-        [
-            mesh.elements[rows, (k_star + 1) % 3],
-            mesh.elements[rows, (k_star + 2) % 3],
-            mesh.elements[rows, k_star],
-        ]
-    )
-    return SimplicialMesh(2, mesh.vertices, rotated)
-
-
-def _uniform_refine_2d(mesh: SimplicialMesh) -> SimplicialMesh:
-    el = mesh.elements
-    a, b, c = el[:, 0], el[:, 1], el[:, 2]
-    edges = np.concatenate([np.column_stack(p) for p in ((a, b), (b, c), (c, a))])
-    grown, mids = _append_midpoints(mesh.vertices, edges)
-    nT = mesh.num_elements
-    m_ab, m_bc, m_ca = mids[:nT], mids[nT : 2 * nT], mids[2 * nT :]
-    children = np.empty((nT, 4, 3), dtype=np.int64)
-    children[:, 0] = np.column_stack([m_ab, c, m_ca])
-    children[:, 1] = np.column_stack([a, m_ab, m_ca])
-    children[:, 2] = np.column_stack([m_ab, b, m_bc])
-    children[:, 3] = np.column_stack([c, m_ab, m_bc])
-    return SimplicialMesh(2, grown, children.reshape(-1, 3))
-
-
 def nvb_refine(mesh: SimplicialMesh, marked) -> SimplicialMesh:
     """Bisect the marked 2D elements, plus closure for conformity.
 
@@ -130,7 +83,18 @@ def nvb_refine(mesh: SimplicialMesh, marked) -> SimplicialMesh:
         if not need.any():
             break
         marked_edge[ef[need, 2]] = True
+    return _bisect(mesh, marked_edge)
 
+
+def _bisect(mesh: SimplicialMesh, marked_edge: np.ndarray) -> SimplicialMesh:
+    """Split each element at the midpoints of its marked edges.
+
+    ``marked_edge`` flags facets of ``mesh`` and must be closed: an element
+    with a marked edge has its refinement edge marked.  An element whose
+    three edges are marked gets four children.
+    """
+    topo = mesh.facets
+    ef = topo.element_facets
     edge_ids = np.flatnonzero(marked_edge)
     grown, new_ids = _append_midpoints(mesh.vertices, topo.vertex_ids[edge_ids])
     midpoint_of = np.full(len(topo), -1, dtype=np.int64)
@@ -265,7 +229,7 @@ def _uniform_refine_midpoint(mesh: SimplicialMesh) -> SimplicialMesh:
 def uniform_refine(mesh: SimplicialMesh) -> SimplicialMesh:
     """Replace every element by its 2^n children; conforming in all dims."""
     if mesh.dim == 2:
-        return _uniform_refine_2d(mesh)
+        return _bisect(mesh, np.ones(len(mesh.facets), dtype=bool))
     if mesh.dim == 3:
         return _uniform_refine_3d(mesh)
     if mesh.dim == 4:

@@ -1,3 +1,5 @@
+from math import factorial
+
 import hypothesis
 import numpy as np
 import pytest
@@ -13,6 +15,20 @@ hypothesis.settings.register_profile(
 hypothesis.settings.load_profile("default")
 
 np.seterr(divide="raise", over="raise", invalid="raise")
+
+
+def cayley_menger_measure(points):
+    """Independent k-simplex measure from squared distances only."""
+    points = np.asarray(points, dtype=float)
+    k = points.shape[0] - 1
+    m = points.shape[0]
+    sq = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    bordered = np.ones((m + 1, m + 1))
+    bordered[0, 0] = 0.0
+    bordered[1:, 1:] = sq
+    det = np.linalg.det(bordered)
+    coeff = ((-1.0) ** (k + 1)) / (2.0**k * factorial(k) ** 2)
+    return np.sqrt(coeff * det)
 
 
 def shape_gamma(mesh):

@@ -67,6 +67,16 @@ def test_config_defaults_resolution():
         {"space": "l2"},
         {"alpha": -0.5},
         {"tol": 0.0},
+        {"beta": float("nan")},
+        {"beta": float("inf")},
+        {"alpha": float("nan"), "space": "tilde"},
+        {"alpha": float("inf"), "space": "tilde"},
+        {"tol": float("nan")},
+        {"tol": float("inf")},
+        {"tol": 1.0},
+        {"tol": 2.0},
+        {"levels": 2.0},
+        {"max_iter": 2.5},
     ],
 )
 def test_config_rejects(kwargs):
@@ -234,6 +244,13 @@ def test_cli_config_error_exit():
     assert proc.stderr != ""
 
 
+def test_cli_nan_beta_is_a_config_error():
+    proc = run_cli("--beta", "nan")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("quasidiag: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_unopenable_out_is_a_config_error(tmp_path):
     proc = run_cli("--dim", "2", "--levels", "1",
                    "--out", str(tmp_path / "no" / "such" / "x.csv"))
@@ -318,3 +335,15 @@ def test_sweep_keeps_partial_table_on_failure(tmp_path, monkeypatch):
     ])
     assert code == 3
     assert read_csv(tmp_path / "dim2_hm1_p0_uniform.csv") == [row]
+
+
+def test_sweep_config_error_writes_nothing(tmp_path, capsys):
+    script = load_sweep_script()
+    out_dir = tmp_path / "results"
+    code = script.main([
+        "--out-dir", str(out_dir), "--only", "dim2_hm1_p0_uniform",
+        "--levels", "0", "--quiet",
+    ])
+    assert code == 2
+    assert "levels" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))

@@ -1,20 +1,15 @@
 """Mesh geometry, facet topology and initial meshes."""
 
-import itertools
-from math import factorial
-
 import numpy as np
 import pytest
-from conftest import shape_gamma
+from conftest import cayley_menger_measure, shape_gamma
 from hypothesis import given, strategies as st
 
 from quasidiag import (
     SimplicialMesh,
     boundary_measure,
     enumerate_facets,
-    facet_measure,
     initial_mesh,
-    simplex_volume,
     uniform_refine,
     validate_mesh,
 )
@@ -26,26 +21,28 @@ from quasidiag.errors import (
 )
 
 
-def cayley_menger_measure(points):
-    """Independent k-simplex measure from squared distances only."""
+def one_simplex(points):
+    """Mesh of the single simplex spanned by ``points`` in their order."""
     points = np.asarray(points, dtype=float)
-    k = points.shape[0] - 1
-    m = points.shape[0]
-    sq = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
-    bordered = np.ones((m + 1, m + 1))
-    bordered[0, 0] = 0.0
-    bordered[1:, 1:] = sq
-    det = np.linalg.det(bordered)
-    coeff = ((-1.0) ** (k + 1)) / (2.0**k * factorial(k) ** 2)
-    return np.sqrt(coeff * det)
+    return SimplicialMesh(points.shape[-1], points, [np.arange(len(points))])
+
+
+def volume(points):
+    return one_simplex(points).volumes[0]
+
+
+def measure_of_facet(points, apex):
+    """Measure of the facet ``points`` of the simplex they span with ``apex``."""
+    topo = enumerate_facets(one_simplex(np.vstack([points, apex])))
+    return topo.measure[topo.element_facets[0, -1]]
 
 
 # ---------------------------------------------------------------------------
-# simplex_volume
+# element volumes
 
 
 def test_unit_right_triangle_volume():
-    assert simplex_volume([[0, 0], [1, 0], [0, 1]]) == pytest.approx(0.5, rel=1e-15)
+    assert volume([[0, 0], [1, 0], [0, 1]]) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_kuhn_4simplex_volume():
@@ -56,17 +53,17 @@ def test_kuhn_4simplex_volume():
         [1, 1, 1, 0],
         [1, 1, 1, 1],
     ]
-    assert simplex_volume(pts) == pytest.approx(1.0 / 24.0, rel=1e-14)
+    assert volume(pts) == pytest.approx(1.0 / 24.0, rel=1e-14)
 
 
 def test_collinear_triangle_raises():
     with pytest.raises(DegenerateSimplex):
-        simplex_volume([[0, 0], [1, 1], [2, 2]])
+        volume([[0, 0], [1, 1], [2, 2]])
 
 
 def test_volume_shape_check():
     with pytest.raises(DimensionError):
-        simplex_volume([[0, 0], [1, 0]])
+        volume([[0, 0], [1, 0]])
 
 
 @given(
@@ -75,9 +72,9 @@ def test_volume_shape_check():
 )
 def test_volume_translation_and_scaling(shift, scale):
     base = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.7]])
-    v0 = simplex_volume(base)
+    v0 = volume(base)
     moved = base * scale + np.asarray(shift)
-    assert simplex_volume(moved) == pytest.approx(v0 * scale**2, rel=1e-9)
+    assert volume(moved) == pytest.approx(v0 * scale**2, rel=1e-9)
 
 
 @given(perm=st.permutations(list(range(4))))
@@ -85,50 +82,54 @@ def test_volume_vertex_order_invariance(perm):
     pts = np.array(
         [[0.0, 0.0, 0.0], [2.0, 0.1, 0.0], [0.3, 1.5, 0.2], [0.1, 0.2, 1.1]]
     )
-    assert simplex_volume(pts[perm]) == pytest.approx(simplex_volume(pts), rel=1e-12)
+    assert volume(pts[perm]) == pytest.approx(volume(pts), rel=1e-12)
 
 
 def test_volume_matches_cayley_menger():
     rng = np.random.default_rng(7)
     for n in (2, 3, 4):
         pts = rng.random((n + 1, n)) * 2.0
-        assert simplex_volume(pts) == pytest.approx(
-            cayley_menger_measure(pts), rel=1e-9
-        )
+        assert volume(pts) == pytest.approx(cayley_menger_measure(pts), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
-# facet_measure
+# facet measures
 
 
 def test_segment_measure():
-    assert facet_measure([[0, 0], [1, 1]]) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+    got = measure_of_facet([[0, 0], [1, 1]], [1, 0])
+    assert got == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
 
 def test_triangle_in_3d_measure():
     pts = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
-    assert facet_measure(pts) == pytest.approx(0.5, rel=1e-15)
+    assert measure_of_facet(pts, [0, 0, 1]) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_tetrahedron_facet_in_4d_measure():
     e = np.eye(4)
     pts = e[[0, 1, 2, 3]]
-    assert facet_measure(pts) == pytest.approx(cayley_menger_measure(pts), rel=1e-12)
-    assert facet_measure(pts) == pytest.approx(1.0 / 3.0, rel=1e-12)
+    got = measure_of_facet(pts, np.zeros(4))
+    assert got == pytest.approx(cayley_menger_measure(pts), rel=1e-12)
+    assert got == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_facet_measure_random_matches_cayley_menger():
     rng = np.random.default_rng(11)
     for n in (2, 3, 4):
-        pts = rng.random((n, n)) + 0.5 * np.eye(n)[:, : n]
-        assert facet_measure(pts) == pytest.approx(
-            cayley_menger_measure(pts), rel=1e-8
-        )
+        mesh = one_simplex(rng.random((n + 1, n)) + 0.5 * np.eye(n + 1, n))
+        topo = enumerate_facets(mesh)
+        assert len(topo) == n + 1
+        for ids, got in zip(topo.vertex_ids, topo.measure):
+            want = cayley_menger_measure(mesh.vertices[ids])
+            assert got == pytest.approx(want, rel=1e-8)
 
 
 def test_flat_facet_raises():
     with pytest.raises(DegenerateSimplex):
-        facet_measure([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        one_simplex(
+            [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +146,7 @@ def test_single_triangle_all_boundary():
     mesh = SimplicialMesh(2, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [[0, 1, 2]])
     topo = mesh.facets
     assert len(topo) == 3
-    assert topo.num_boundary == 3
+    assert topo.is_boundary.sum() == 3
     assert np.all(topo.minus == -1)
 
 
@@ -163,15 +164,17 @@ def test_shared_edge_adjacency():
 def test_lshape_facet_counts(lshape2d):
     topo = lshape2d.facets
     assert len(topo) == 22
-    assert topo.num_boundary == 8
-    assert topo.num_interior == 14
+    assert topo.is_boundary.sum() == 8
+    assert (~topo.is_boundary).sum() == 14
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_handshake_identity(dim):
     mesh = initial_mesh(dim)
     topo = mesh.facets
-    assert (dim + 1) * mesh.num_elements == 2 * topo.num_interior + topo.num_boundary
+    num_boundary = topo.is_boundary.sum()
+    num_interior = len(topo) - num_boundary
+    assert (dim + 1) * mesh.num_elements == 2 * num_interior + num_boundary
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

@@ -18,7 +18,6 @@ from quasidiag.mesh import (
     SimplicialMesh,
     boundary_measure,
     initial_mesh,
-    simplex_volume,
     validate_mesh,
 )
 from quasidiag.refine import (
@@ -37,7 +36,6 @@ from quasidiag.refine import (
     nvb_refine,
     singular_indicator,
     uniform_refine,
-    with_refinement_edges,
 )
 
 BOUNDARY_AREA = {2: 8.0, 3: 14.0, 4: 8.0}
@@ -229,27 +227,6 @@ def test_nvb_repeated_refinement_quality():
     assert shape_gamma(mesh) <= 4.0 * baseline
 
 
-def test_with_refinement_edges_rotates_longest_first():
-    verts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
-    mesh = SimplicialMesh(2, verts, np.array([[0, 1, 2]]))
-    out = with_refinement_edges(mesh)
-    np.testing.assert_array_equal(out.elements, [[1, 2, 0]])
-
-
-def test_with_refinement_edges_tie_break():
-    # equilateral: all edges tie, lowest opposite vertex id wins
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
-    mesh = SimplicialMesh(2, verts, np.array([[0, 1, 2]]))
-    out = with_refinement_edges(mesh)
-    np.testing.assert_array_equal(out.elements, [[1, 2, 0]])
-
-
-def test_with_refinement_edges_initial_mesh_invariant():
-    mesh = initial_mesh(2)
-    out = with_refinement_edges(mesh)
-    np.testing.assert_array_equal(out.elements, mesh.elements)
-
-
 # ---------------------------------------------------------------------------
 # bulk marking
 
@@ -406,7 +383,8 @@ def test_adaptive_refine_grades_towards_corner():
 
 
 # ---------------------------------------------------------------------------
-# per-element oracles of the batched indicator and of masked NVB
+# per-element oracles of the batched indicator and of masked NVB, and the
+# closed-form four-child split of 2d uniform refinement
 
 
 def _oracle_triangle_rule(coords):
@@ -516,6 +494,32 @@ def _oracle_nvb_refine(mesh, marked):
             children.append((m_ab, b, m_bc))
             children.append((c, m_ab, m_bc))
     return grown, np.array(children, dtype=np.int64)
+
+
+def _oracle_uniform_refine_2d(mesh):
+    """Red refinement of every element into its four NVB children."""
+    el = mesh.elements
+    a, b, c = el[:, 0], el[:, 1], el[:, 2]
+    edges = np.concatenate([np.column_stack(p) for p in ((a, b), (b, c), (c, a))])
+    grown, mids = _append_midpoints(mesh.vertices, edges)
+    nT = mesh.num_elements
+    m_ab, m_bc, m_ca = mids[:nT], mids[nT : 2 * nT], mids[2 * nT :]
+    children = np.empty((nT, 4, 3), dtype=np.int64)
+    children[:, 0] = np.column_stack([m_ab, c, m_ca])
+    children[:, 1] = np.column_stack([a, m_ab, m_ca])
+    children[:, 2] = np.column_stack([m_ab, b, m_bc])
+    children[:, 3] = np.column_stack([c, m_ab, m_bc])
+    return grown, children.reshape(-1, 3)
+
+
+def test_uniform_2d_matches_oracle():
+    mesh = initial_mesh(2)
+    for _ in range(7):
+        fine = uniform_refine(mesh)
+        grown, children = _oracle_uniform_refine_2d(mesh)
+        np.testing.assert_array_equal(fine.elements, children)
+        np.testing.assert_array_equal(fine.vertices, grown)
+        mesh = fine
 
 
 GRADED_STEPS = 40
