@@ -38,8 +38,10 @@ class SolverFailure(Exception):
     """An iterative solve or eigenvalue estimate broke down.
 
     Raised when conjugate gradients miss their tolerance within the
-    iteration cap, and when conjugate gradients or Lanczos meet a direction
-    of non-positive curvature (an operator that is not positive definite).
+    iteration cap, when conjugate gradients or Lanczos meet a direction of
+    non-positive curvature (an operator that is not positive definite), and
+    when their preconditioner gives r . P r < 0 (a preconditioner that is
+    not positive definite).
     """
 
     def __init__(self, message, residual=None, iterations=None):

@@ -27,6 +27,7 @@ Element ordering conventions:
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -82,6 +83,19 @@ class FacetTopology:
         return self.vertex_ids.shape[0]
 
 
+@dataclass(frozen=True)
+class RefinementStep:
+    """One refinement of a nested mesh hierarchy.
+
+    The coarse mesh has ``num_coarse`` vertices, which the fine mesh keeps
+    as its first ones; fine vertex ``num_coarse + i`` is the midpoint of the
+    coarse edge ``parent_edges[i]`` (an (m, 2) array, read-only).
+    """
+
+    num_coarse: int
+    parent_edges: np.ndarray
+
+
 class SimplicialMesh:
     """Conforming simplicial mesh of dimension n in {2, 3, 4}.
 
@@ -95,6 +109,10 @@ class SimplicialMesh:
         module docstring.
     volumes, diameters : ndarray, shape (nT,)
         Cached per-element volume |T| and diameter h_T.
+    ancestry : tuple of RefinementStep
+        The refinements that produced this mesh from a mesh built directly,
+        coarsest first; attached by the refiners of :mod:`quasidiag.refine`
+        and empty for a mesh built directly.
     """
 
     def __init__(self, dim: int, vertices, elements):
@@ -127,6 +145,7 @@ class SimplicialMesh:
             )
         for arr in (self.vertices, self.elements, self.volumes, self.diameters):
             arr.setflags(write=False)
+        self.ancestry: tuple[RefinementStep, ...] = ()
         self._facets: FacetTopology | None = None
 
     @property

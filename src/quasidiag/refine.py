@@ -18,6 +18,10 @@ Refinement schemes by dimension:
 
 Adaptive refinement (2D only) combines :func:`singular_indicator`,
 :func:`dorfler_mark` and :func:`nvb_refine`.
+
+Every refiner keeps the coarse vertices as the first ones of the child and
+gives the child its parent's ``ancestry`` plus one
+:class:`quasidiag.mesh.RefinementStep`, the parent edge of each new vertex.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from scipy.sparse.linalg import splu
 
 from .assembly import _p1_gradients, assemble_mass_p1
 from .errors import DimensionError, UnsupportedDimension
-from .mesh import SimplicialMesh
+from .mesh import RefinementStep, SimplicialMesh
 
 # ---------------------------------------------------------------------------
 # midpoint bookkeeping
@@ -40,8 +44,9 @@ def _append_midpoints(vertices: np.ndarray, edges: np.ndarray):
     """Create one new vertex per unique undirected edge.
 
     ``edges`` is an (m, 2) array of vertex ids.  Returns the grown vertex
-    array and the (m,) array of midpoint ids, ordered so that new vertices
-    follow ascending (lo, hi) edge keys; the layout is reproducible.
+    array, the (m,) array of midpoint ids, and the (lo, hi) parent edge of
+    each new vertex, ordered so that new vertices follow ascending (lo, hi)
+    edge keys; the layout is reproducible.
     """
     num_old = len(vertices)
     lo = np.minimum(edges[:, 0], edges[:, 1])
@@ -50,7 +55,15 @@ def _append_midpoints(vertices: np.ndarray, edges: np.ndarray):
     uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     mids = 0.5 * (vertices[lo[first]] + vertices[hi[first]])
     grown = np.vstack([vertices, mids])
-    return grown, num_old + inverse
+    return grown, num_old + inverse, np.column_stack([lo[first], hi[first]])
+
+
+def _refined(mesh: SimplicialMesh, grown, elements, parent_edges) -> SimplicialMesh:
+    """The child mesh, carrying ``mesh``'s ancestry plus this refinement."""
+    child = SimplicialMesh(mesh.dim, grown, elements)
+    parent_edges.setflags(write=False)
+    child.ancestry = mesh.ancestry + (RefinementStep(mesh.num_vertices, parent_edges),)
+    return child
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +109,9 @@ def _bisect(mesh: SimplicialMesh, marked_edge: np.ndarray) -> SimplicialMesh:
     topo = mesh.facets
     ef = topo.element_facets
     edge_ids = np.flatnonzero(marked_edge)
-    grown, new_ids = _append_midpoints(mesh.vertices, topo.vertex_ids[edge_ids])
+    grown, new_ids, parents = _append_midpoints(
+        mesh.vertices, topo.vertex_ids[edge_ids]
+    )
     midpoint_of = np.full(len(topo), -1, dtype=np.int64)
     midpoint_of[edge_ids] = new_ids
 
@@ -122,7 +137,7 @@ def _bisect(mesh: SimplicialMesh, marked_edge: np.ndarray) -> SimplicialMesh:
     )
     valid = np.stack([np.ones_like(has_ab), has_ca, has_ab, has_bc], axis=1)
     # row-major order lists each element's children together, in slot order
-    return SimplicialMesh(2, grown, candidates[valid])
+    return _refined(mesh, grown, candidates[valid], parents)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +158,7 @@ def _uniform_refine_3d(mesh: SimplicialMesh) -> SimplicialMesh:
     el = mesh.elements
     nT = mesh.num_elements
     edges = np.concatenate([el[:, [i, j]] for i, j in _EDGES_3D])
-    grown, mids = _append_midpoints(mesh.vertices, edges)
+    grown, mids, parents = _append_midpoints(mesh.vertices, edges)
     m = mids.reshape(6, nT).T  # columns follow _EDGES_3D order
 
     corners = np.empty((nT, 4, 4), dtype=np.int64)
@@ -173,7 +188,7 @@ def _uniform_refine_3d(mesh: SimplicialMesh) -> SimplicialMesh:
     )
 
     children = np.concatenate([corners, octa], axis=1)
-    return SimplicialMesh(3, grown, children.reshape(-1, 4))
+    return _refined(mesh, grown, children.reshape(-1, 4), parents)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +230,7 @@ def _uniform_refine_midpoint(mesh: SimplicialMesh) -> SimplicialMesh:
     nT = mesh.num_elements
     pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
     edges = np.concatenate([el[:, [i, j]] for i, j in pairs])
-    grown, mids = _append_midpoints(mesh.vertices, edges)
+    grown, mids, parents = _append_midpoints(mesh.vertices, edges)
     mid_of = {p: mids[k * nT : (k + 1) * nT] for k, p in enumerate(pairs)}
 
     pattern = _path_children_pattern(n)
@@ -223,7 +238,7 @@ def _uniform_refine_midpoint(mesh: SimplicialMesh) -> SimplicialMesh:
     for c, child in enumerate(pattern):
         for k, (a, b) in enumerate(child):
             children[:, c, k] = el[:, a] if a == b else mid_of[(a, b)]
-    return SimplicialMesh(n, grown, children.reshape(-1, n + 1))
+    return _refined(mesh, grown, children.reshape(-1, n + 1), parents)
 
 
 def uniform_refine(mesh: SimplicialMesh) -> SimplicialMesh:

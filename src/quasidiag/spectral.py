@@ -7,7 +7,9 @@ The Gram operator of the negative-order norm on the piecewise space is
 with M the P1/piecewise pairing, R the P1 Gram matrix of the primal norm
 (stiffness for the zero-boundary variant, stiffness plus mass for the free
 variant) and L the mesh-weighted piecewise mass matrix.  When the Dirichlet
-P1 space is empty the first term vanishes and A reduces to beta L.
+P1 space is empty the first term vanishes and A reduces to beta L.  R is
+factorized up to ``DIRECT_SOLVE_LIMIT`` rows; past it, R^{-1} is conjugate
+gradients preconditioned by a V-cycle on the mesh's refinement record.
 
 Every operator is applied as ``operator @ x``: ndarrays, sparse matrices
 and :class:`GramOperator` alike.  The only eigenvalue loop is
@@ -29,15 +31,30 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import inv, splu
 
-from .assembly import BasisSet, assemble_L, assemble_M, assemble_R, basis_set
+from .assembly import (
+    BasisSet,
+    assemble_L,
+    assemble_M,
+    assemble_R,
+    basis_set,
+    p1_vertex_ids,
+)
 from .errors import DimensionError, EigsNotConverged, EmptySpace, SolverFailure
 from .mesh import SimplicialMesh
 from .precond import SPACES, Preconditioner
 
-# sparse factorization limit for the inner P1 solve; larger systems fall
-# back to tightly converged conjugate gradients
+# sparse factorization limit for the inner P1 solve; larger systems are
+# solved by conjugate gradients to INNER_CG_TOL, preconditioned by a V-cycle
+# on the mesh's refinement hierarchy
 DIRECT_SOLVE_LIMIT = 50_000
 INNER_CG_TOL = 1e-12
+
+# the V-cycle smooths with JACOBI_SWEEPS damped Jacobi sweeps before and as
+# many after each coarse correction, and factorizes its first level of at
+# most COARSEST_ROWS rows
+JACOBI_WEIGHT = 2.0 / 3.0
+JACOBI_SWEEPS = 2
+COARSEST_ROWS = 500
 
 # defaults of the extreme-eigenvalue estimate, shared by the experiment
 # driver and the command line: the relative Ritz residual bound at which
@@ -60,10 +77,11 @@ def solve_spd(
 ):
     """Preconditioned conjugate gradients for SPD systems.
 
-    Stops once the preconditioned residual norm falls below ``tol`` relative
-    to the preconditioned right-hand side; iteration cap 10 times the
-    dimension (or ``max_iter``), beyond which :class:`SolverFailure` is
-    raised.
+    ``preconditioner`` is anything with a symmetric positive definite
+    ``apply``.  Stops once the preconditioned residual norm falls below
+    ``tol`` relative to the preconditioned right-hand side; iteration cap 10
+    times the dimension (or ``max_iter``), beyond which
+    :class:`SolverFailure` is raised, as it is when r . P r turns negative.
     """
     b = np.asarray(rhs, dtype=float).ravel()
     n = b.size
@@ -92,7 +110,13 @@ def solve_spd(
         r -= step * ap
         z = apply_p(r)
         rz_next = float(r @ z)
-        if np.sqrt(max(rz_next, 0.0)) <= target:
+        if rz_next < 0.0:
+            raise SolverFailure(
+                "the preconditioner is not positive definite",
+                residual=np.sqrt(rz),
+                iterations=it,
+            )
+        if np.sqrt(rz_next) <= target:
             return (x, it) if return_iterations else x
         p = z + (rz_next / rz) * p
         rz = rz_next
@@ -103,13 +127,80 @@ def solve_spd(
     )
 
 
-def _spd_solver(matrix: sp.spmatrix):
-    """Exact factorization when affordable, else tight Jacobi-PCG."""
-    if matrix.shape[0] <= DIRECT_SOLVE_LIMIT:
+def _vertex_prolongation(steps, num_coarse: int) -> sp.csr_matrix:
+    """Interpolation from the first ``num_coarse`` vertices through ``steps``.
+
+    Each step keeps the old vertices and gives a new one the mean of its
+    parent edge's ends, [I; (e_lo + e_hi) / 2]; the steps are composed.
+    """
+    q = sp.identity(num_coarse, format="csr")
+    for step in steps:
+        lo, hi = step.parent_edges.T
+        q = sp.vstack([q, 0.5 * (q[lo] + q[hi])], format="csr")
+    return q
+
+
+class _VCycle:
+    """Symmetric V-cycle for a P1 Gram matrix on a nested mesh hierarchy.
+
+    ``matrix`` acts on the P1 space of ``mesh`` spanned by the ascending
+    vertex ids ``ids``.  The coarse levels come from ``mesh.ancestry``:
+    each has at most half the rows of the next finer one, and coarsening
+    stops at the first level of at most ``COARSEST_ROWS`` rows, which is
+    factorized.  The prolongation between two levels composes the
+    refinement steps in between.  Nested meshes share their boundary, so a
+    coarse level's ids are the fine ids below its vertex count.  Coarse
+    matrices are the Galerkin products P^t R P.  Equal Jacobi sweep counts
+    before and after the coarse correction make ``apply`` symmetric.
+    """
+
+    def __init__(self, matrix: sp.spmatrix, mesh: SimplicialMesh, ids: np.ndarray):
+        steps = mesh.ancestry
+        counts = [step.num_coarse for step in steps] + [mesh.num_vertices]
+        rows = np.searchsorted(ids, counts)
+        self.matrices, self.prolongations = [matrix.tocsr()], []
+        level = len(steps)
+        while rows[level] > COARSEST_ROWS:
+            coarser = [j for j in range(level) if 0 < 2 * rows[j] <= rows[level]]
+            if not coarser:
+                break
+            j = coarser[-1]
+            vertex_p = _vertex_prolongation(steps[j:level], counts[j])
+            p = vertex_p[ids[: rows[level]]][:, ids[: rows[j]]].tocsr()
+            self.prolongations.append(p)
+            self.matrices.append((p.T @ self.matrices[-1] @ p).tocsr())
+            level = j
+        self.weights = [JACOBI_WEIGHT / a.diagonal() for a in self.matrices[:-1]]
+        self.coarsest = splu(self.matrices[-1].tocsc())
+
+    def apply(self, b) -> np.ndarray:
+        return self._cycle(0, np.asarray(b, dtype=float))
+
+    def _cycle(self, level: int, b: np.ndarray) -> np.ndarray:
+        if level == len(self.prolongations):
+            return self.coarsest.solve(b)
+        a, weight, p = self.matrices[level], self.weights[level], self.prolongations[level]
+        x = weight * b
+        for _ in range(JACOBI_SWEEPS - 1):
+            x += weight * (b - a @ x)
+        x += p @ self._cycle(level + 1, p.T @ (b - a @ x))
+        for _ in range(JACOBI_SWEEPS):
+            x += weight * (b - a @ x)
+        return x
+
+
+def _spd_solver(matrix: sp.spmatrix, mesh: SimplicialMesh, boundary_condition: str):
+    """Solve with the P1 Gram matrix of ``mesh``.
+
+    A sparse factorization up to ``DIRECT_SOLVE_LIMIT`` rows, and for a mesh
+    without refinement record; else conjugate gradients to INNER_CG_TOL,
+    preconditioned by a V-cycle.
+    """
+    if matrix.shape[0] <= DIRECT_SOLVE_LIMIT or not mesh.ancestry:
         lu = splu(matrix.tocsc())
         return lu.solve
-    jacobi = Preconditioner(sp.diags(1.0 / matrix.diagonal()))
-    return lambda b: solve_spd(matrix, b, preconditioner=jacobi, tol=INNER_CG_TOL)
+    vcycle = _VCycle(matrix, mesh, p1_vertex_ids(mesh, boundary_condition))
+    return lambda b: solve_spd(matrix, b, preconditioner=vcycle, tol=INNER_CG_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +262,7 @@ def gram_operator(
     try:
         gram_p1 = assemble_R(mesh, bc)
         pairing = assemble_M(mesh, basis, bc)
-        r_solve = _spd_solver(gram_p1)
+        r_solve = _spd_solver(gram_p1, mesh, bc)
     except EmptySpace:
         pairing = None
         r_solve = None

@@ -228,6 +228,64 @@ def test_nvb_repeated_refinement_quality():
 
 
 # ---------------------------------------------------------------------------
+# refinement record
+
+
+def assert_records_step(coarse, fine):
+    """``fine`` carries ``coarse``'s ancestry plus one step that made it."""
+    assert len(fine.ancestry) == len(coarse.ancestry) + 1
+    assert all(a is b for a, b in zip(fine.ancestry, coarse.ancestry))
+    step = fine.ancestry[-1]
+    lo, hi = step.parent_edges.T
+    assert not step.parent_edges.flags.writeable
+    assert step.num_coarse == coarse.num_vertices
+    # the coarse vertices are a prefix of the fine ones
+    np.testing.assert_array_equal(fine.vertices[: step.num_coarse], coarse.vertices)
+    # every new vertex is the midpoint of its recorded parent edge, which is
+    # an edge of the coarse mesh
+    assert len(step.parent_edges) == fine.num_vertices - coarse.num_vertices
+    np.testing.assert_array_equal(
+        fine.vertices[step.num_coarse :],
+        0.5 * (coarse.vertices[lo] + coarse.vertices[hi]),
+    )
+    pairs = itertools.combinations(range(coarse.dim + 1), 2)
+    coarse_edges = {
+        (int(a), int(b))
+        for i, j in pairs
+        for a, b in np.sort(coarse.elements[:, [i, j]], axis=1)
+    }
+    assert set(zip(lo.tolist(), hi.tolist())) <= coarse_edges
+    assert np.all(lo < hi)
+
+
+@pytest.mark.parametrize("dim, levels", [(2, 3), (3, 2), (4, 2)])
+def test_uniform_refine_records_parent_edges(dim, levels):
+    mesh = initial_mesh(dim)
+    assert mesh.ancestry == ()
+    for _ in range(levels):
+        fine = uniform_refine(mesh)
+        assert_records_step(mesh, fine)
+        mesh = fine
+    assert len(mesh.ancestry) == levels
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=8),
+        min_size=1,
+        max_size=5,
+    )
+)
+@settings(max_examples=25, deadline=None)
+def test_nvb_refine_records_parent_edges(rounds):
+    mesh = initial_mesh(2)
+    for picks in rounds:
+        fine = nvb_refine(mesh, np.array(picks) % mesh.num_elements)
+        assert_records_step(mesh, fine)
+        mesh = fine
+
+
+# ---------------------------------------------------------------------------
 # bulk marking
 
 
@@ -470,7 +528,7 @@ def _oracle_nvb_refine(mesh, marked):
             break
         marked_edge[ef[need, 2]] = True
     edge_ids = np.flatnonzero(marked_edge)
-    grown, new_ids = _append_midpoints(mesh.vertices, topo.vertex_ids[edge_ids])
+    grown, new_ids, _ = _append_midpoints(mesh.vertices, topo.vertex_ids[edge_ids])
     midpoint_of = np.full(len(topo), -1, dtype=np.int64)
     midpoint_of[edge_ids] = new_ids
 
@@ -501,7 +559,7 @@ def _oracle_uniform_refine_2d(mesh):
     el = mesh.elements
     a, b, c = el[:, 0], el[:, 1], el[:, 2]
     edges = np.concatenate([np.column_stack(p) for p in ((a, b), (b, c), (c, a))])
-    grown, mids = _append_midpoints(mesh.vertices, edges)
+    grown, mids, _ = _append_midpoints(mesh.vertices, edges)
     nT = mesh.num_elements
     m_ab, m_bc, m_ca = mids[:nT], mids[nT : 2 * nT], mids[2 * nT :]
     children = np.empty((nT, 4, 3), dtype=np.int64)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, lobpcg
+from scipy.sparse.linalg import LinearOperator, lobpcg, splu
+
+from quasidiag import spectral
 
 from quasidiag.assembly import (
     assemble_L,
@@ -15,9 +17,13 @@ from quasidiag.assembly import (
 from quasidiag.errors import EigsNotConverged, SolverFailure
 from quasidiag.mesh import SimplicialMesh, initial_mesh
 from quasidiag.precond import Preconditioner, quasi_diagonal_preconditioner
-from quasidiag.refine import uniform_refine
+from quasidiag.refine import adaptive_refine, uniform_refine
 from quasidiag.spectral import (
+    DIRECT_SOLVE_LIMIT,
+    EIGS_TOL,
     GramOperator,
+    _spd_solver,
+    _VCycle,
     dense_action,
     dense_condition_number,
     extreme_eigs,
@@ -73,6 +79,103 @@ def test_preconditioner_reduces_iterations(rng):
                           return_iterations=True)
     assert guided < plain
     assert guided <= 3
+
+
+# ---------------------------------------------------------------------------
+# inner P1 solve
+
+
+def refined(dim, level):
+    """``initial_mesh(dim)`` refined uniformly to ``level`` (level 1 is itself)."""
+    mesh = initial_mesh(dim)
+    for _ in range(level - 1):
+        mesh = uniform_refine(mesh)
+    return mesh
+
+
+def graded_mesh(steps=40):
+    mesh = initial_mesh(2)
+    for _ in range(steps):
+        mesh = adaptive_refine(mesh)
+    return mesh
+
+
+INNER_SOLVE_CASES = {
+    "2d-L5-dirichlet": (lambda: refined(2, 5), "dirichlet"),
+    "2d-L5-free": (lambda: refined(2, 5), "free"),
+    "3d-L3-dirichlet": (lambda: refined(3, 3), "dirichlet"),
+    "4d-L2-free": (lambda: refined(4, 2), "free"),
+    "graded-40-dirichlet": (graded_mesh, "dirichlet"),
+}
+
+
+def count_inner_pcg(monkeypatch):
+    """Count the conjugate-gradient solves made through the module's name."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_spd(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "solve_spd", counting)
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(INNER_SOLVE_CASES))
+def test_multigrid_solve_matches_splu(case, monkeypatch):
+    # a small coarsest level gives these small meshes a V-cycle of several
+    # levels; 4d L2 has a single interior vertex, so it runs free
+    monkeypatch.setattr(spectral, "COARSEST_ROWS", 10)
+    monkeypatch.setattr(spectral, "DIRECT_SOLVE_LIMIT", 0)
+    make, bc = INNER_SOLVE_CASES[case]
+    mesh = make()
+    R = assemble_R(mesh, bc)
+    vcycle = _VCycle(R, mesh, p1_vertex_ids(mesh, bc))
+    rows = [a.shape[0] for a in vcycle.matrices]
+    assert len(rows) >= 2
+    assert all(2 * coarse <= fine for fine, coarse in zip(rows, rows[1:]))
+    if case.startswith("graded"):
+        # the levels skip refinement steps, so prolongations are composed
+        assert len(rows) < len(mesh.ancestry)
+
+    rng = np.random.default_rng(7)
+    b, y = rng.standard_normal((2, R.shape[0]))
+    vb, vy = vcycle.apply(b), vcycle.apply(y)
+    assert abs(y @ vb - b @ vy) <= 1e-12 * abs(y @ vy)
+
+    calls = count_inner_pcg(monkeypatch)
+    solve = _spd_solver(R, mesh, bc)
+    x, sy = solve(b), solve(y)
+    assert calls == [1, 1]
+    exact = splu(R.tocsc()).solve(b)
+    assert np.linalg.norm(x - exact) <= 1e-10 * np.linalg.norm(exact)
+    assert abs(y @ x - b @ sy) <= 1e-12 * abs(y @ sy)
+
+
+def test_inner_solve_dispatch(monkeypatch):
+    # past the limit a refined mesh gets MG-PCG, a mesh built directly splu
+    monkeypatch.setattr(spectral, "DIRECT_SOLVE_LIMIT", 100)
+    calls = count_inner_pcg(monkeypatch)
+    mesh = refined(2, 4)
+    by_hand = SimplicialMesh(2, mesh.vertices, mesh.elements)
+    b = np.random.default_rng(8).standard_normal(p1_vertex_ids(mesh, "dirichlet").size)
+    direct = gram_operator(by_hand, "hm1", 0).r_solve(b)
+    assert calls == []
+    multigrid = gram_operator(mesh, "hm1", 0).r_solve(b)
+    assert calls == [1]
+    np.testing.assert_allclose(multigrid, direct, rtol=1e-10, atol=0.0)
+
+
+def test_inner_solve_past_direct_limit(monkeypatch):
+    mesh = refined(2, 8)
+    op = gram_operator(mesh, "hm1", 0)
+    assert op.pairing.shape[0] == 97_793 > DIRECT_SOLVE_LIMIT
+    calls = count_inner_pcg(monkeypatch)
+    b = np.random.default_rng(9).standard_normal(op.pairing.shape[0])
+    y = op.r_solve(b)
+    assert calls == [1]
+    R = assemble_R(mesh, "dirichlet")
+    assert np.linalg.norm(R @ y - b) <= 1e-10 * np.linalg.norm(b)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +311,8 @@ def test_extreme_eigs_on_mesh_operator(lshape2d):
 
 
 def test_extreme_eigs_agrees_with_lobpcg_mid_size(lshape2d):
-    # 12,288 dofs: far past the dense oracle, checked by an independent
-    # block method on the pencil (A, P^{-1}) instead
+    # 12,288 dofs: far past the dense oracle, checked by LOBPCG on the
+    # pencil (A, P^{-1}) instead
     mesh = lshape2d
     for _ in range(5):
         mesh = uniform_refine(mesh)
@@ -220,13 +323,17 @@ def test_extreme_eigs_agrees_with_lobpcg_mid_size(lshape2d):
     A = LinearOperator((n, n), matvec=op.apply, dtype=float)
     B = LinearOperator((n, n), matvec=P.solve, dtype=float)
     M = LinearOperator((n, n), matvec=P.apply, dtype=float)
-    start = np.random.default_rng(6).standard_normal((n, 4))
-    ends = []
-    for largest in (True, False):
-        values = lobpcg(A, start, B=B, M=M, largest=largest, tol=1e-7, maxiter=300)[0]
-        ends.append(values.max() if largest else values.min())
-    assert report.lambda_max == pytest.approx(ends[0], rel=1e-3)
-    assert report.lambda_min == pytest.approx(ends[1], rel=1e-3)
+    start = np.random.default_rng(6).standard_normal((n, 1))
+    for largest, estimate in ((True, report.lambda_max), (False, report.lambda_min)):
+        values, vectors = lobpcg(A, start, B=B, M=M, largest=largest, tol=1e-7, maxiter=300)
+        theta, x = values[0], vectors[:, 0]
+        # the pencil has an eigenvalue within ||r||_{B^-1} / ||x||_B of
+        # theta; together with the estimate's own bound it stays inside the
+        # comparison's tolerance
+        r = op.apply(x) - theta * P.solve(x)
+        bound = np.sqrt(r @ P.apply(r) / (x @ P.solve(x))) / theta
+        assert bound + EIGS_TOL <= 1e-3
+        assert estimate == pytest.approx(theta, rel=1e-3)
 
 
 def test_beta_robustness(lshape2d):
