@@ -38,10 +38,12 @@ class SolverFailure(Exception):
     """An iterative solve or eigenvalue estimate broke down.
 
     Raised when conjugate gradients miss their tolerance within the
-    iteration cap, when conjugate gradients or Lanczos meet a direction of
-    non-positive curvature (an operator that is not positive definite), and
-    when their preconditioner gives r . P r < 0 (a preconditioner that is
-    not positive definite).
+    iteration cap, and when the conjugate-gradient recurrence shared by the
+    linear solve and the Lanczos eigenvalue estimate breaks down: a
+    direction of non-positive curvature (an operator that is not positive
+    definite), or r . P r < 0 (a preconditioner that is not positive
+    definite).  Lanczos raises on both, and on r . P r = 0 at its random
+    start, where it has nothing to estimate.
     """
 
     def __init__(self, message, residual=None, iterations=None):

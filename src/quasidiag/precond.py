@@ -181,8 +181,8 @@ def quasi_diagonal_preconditioner(
     """
     if space not in SPACES:
         raise DimensionError(f"space must be one of {SPACES}, got {space!r}")
-    if space == "tilde" and alpha <= 0.0:
-        raise DimensionError("alpha must be positive")
+    if space == "tilde" and not 0.0 < alpha < np.inf:
+        raise DimensionError(f"alpha must be finite and positive, got {alpha}")
     if basis is None:
         basis = basis_set(mesh, degree)
     boundary = space == "hm1"

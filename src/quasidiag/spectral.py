@@ -19,7 +19,8 @@ only A and P applies, no solves with P, and it stops on an a-posteriori
 bound: each end of the spectrum is within a relative Ritz residual ``tol``
 of an eigenvalue of the preconditioned operator.  The top eigenvalue of
 the pencil (L, A) is the reciprocal of the bottom end of the estimate for
-A preconditioned by L^{-1}.
+A preconditioned by L^{-1}.  The linear solves of :func:`solve_spd` run
+the same conjugate-gradient recurrence, :func:`_pcg`.
 """
 
 from __future__ import annotations
@@ -67,64 +68,80 @@ EIGS_MAX_ITER = 50_000
 # conjugate gradients
 
 
-def solve_spd(
-    operator,
-    rhs,
-    preconditioner: Preconditioner | None = None,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-    return_iterations: bool = False,
-):
+def _pcg(operator, preconditioner, r):
+    """Preconditioned conjugate gradients from the residual ``r``.
+
+    The one CG recurrence, under both :func:`solve_spd` and
+    :func:`extreme_eigs`; ``r`` is updated in place.  Each step first
+    rescales r, P r and the direction p to r . P r = 1, so that long runs
+    do not underflow and the step length is 1 / (p . A p).  It yields
+    (p . A p, beta, root, p): beta is the next r . P r, the ratio of
+    successive r . P r; root is sqrt(r . P r), the factor the step divided
+    r by; p is the rescaled direction, overwritten by the next step.  The
+    true r and p are the rescaled ones times the product of the roots.
+
+    The run ends when r . P r reaches 0.  p . A p <= 0 (an operator that is
+    not positive definite) or r . P r < 0 (a preconditioner that is not
+    positive definite) raises :class:`SolverFailure` before it is yielded.
+    """
+    indefinite = "the preconditioner is not positive definite"
+    z = preconditioner.apply(r)
+    beta = float(r @ z)
+    if beta < 0.0:
+        raise SolverFailure(indefinite, iterations=0)
+    p = np.zeros_like(r)
+    k = 0
+    while beta != 0.0:
+        k += 1
+        root = np.sqrt(beta)
+        r /= root
+        z /= root
+        p *= root
+        p += z
+        ap = operator @ p
+        curvature = float(p @ ap)
+        if curvature <= 0.0:
+            raise SolverFailure(
+                "conjugate gradients met a non-positive curvature direction",
+                iterations=k,
+            )
+        alpha = 1.0 / curvature
+        r -= alpha * ap
+        z = preconditioner.apply(r)
+        beta = float(r @ z)
+        if beta < 0.0:
+            raise SolverFailure(indefinite, iterations=k)
+        yield curvature, beta, root, p
+
+
+def solve_spd(operator, rhs, preconditioner, tol: float = INNER_CG_TOL) -> np.ndarray:
     """Preconditioned conjugate gradients for SPD systems.
 
     ``preconditioner`` is anything with a symmetric positive definite
-    ``apply``.  Stops once the preconditioned residual norm falls below
-    ``tol`` relative to the preconditioned right-hand side; iteration cap 10
-    times the dimension (or ``max_iter``), beyond which
-    :class:`SolverFailure` is raised, as it is when r . P r turns negative.
+    ``apply``.  Stops once sqrt(r . P r) is at most ``tol`` times its value
+    at the right-hand side.  :class:`SolverFailure` is raised after 10 times
+    the dimension in steps, and on the breakdowns of :func:`_pcg`.
     """
-    b = np.asarray(rhs, dtype=float).ravel()
-    n = b.size
-    apply_p = preconditioner.apply if preconditioner is not None else lambda v: v
-    cap = max_iter if max_iter is not None else 10 * n
-
-    x = np.zeros(n)
-    r = b.copy()
-    z = apply_p(r)
-    rz = float(r @ z)
-    target = tol * np.sqrt(max(rz, 0.0))
-    if rz == 0.0:
-        return (x, 0) if return_iterations else x
-    p = z.copy()
-    for it in range(1, cap + 1):
-        ap = operator @ p
-        denom = float(p @ ap)
-        if denom <= 0.0:
+    r = np.array(rhs, dtype=float).ravel()
+    cap = 10 * r.size
+    x = np.zeros(r.size)
+    scale = 1.0  # the product of the roots: the true r is scale times r
+    steps = _pcg(operator, preconditioner, r)
+    for k, (curvature, beta, root, p) in enumerate(steps, 1):
+        if k == 1:
+            initial = root
+        scale *= root
+        x += (scale / curvature) * p
+        residual = scale * np.sqrt(beta) / initial
+        if residual <= tol:
+            return x
+        if k == cap:
             raise SolverFailure(
-                "conjugate gradients met a non-positive curvature direction",
-                residual=np.sqrt(max(rz, 0.0)),
-                iterations=it,
+                f"conjugate gradients did not reach tol={tol} within {cap} iterations",
+                residual=residual,
+                iterations=cap,
             )
-        step = rz / denom
-        x += step * p
-        r -= step * ap
-        z = apply_p(r)
-        rz_next = float(r @ z)
-        if rz_next < 0.0:
-            raise SolverFailure(
-                "the preconditioner is not positive definite",
-                residual=np.sqrt(rz),
-                iterations=it,
-            )
-        if np.sqrt(rz_next) <= target:
-            return (x, it) if return_iterations else x
-        p = z + (rz_next / rz) * p
-        rz = rz_next
-    raise SolverFailure(
-        f"conjugate gradients did not reach tol={tol} within {cap} iterations",
-        residual=float(np.sqrt(max(rz, 0.0)) / (target / tol)),
-        iterations=cap,
-    )
+    return x
 
 
 def _vertex_prolongation(steps, num_coarse: int) -> sp.csr_matrix:
@@ -253,8 +270,8 @@ def gram_operator(
     """
     if space not in SPACES:
         raise DimensionError(f"space must be one of {SPACES}, got {space!r}")
-    if beta <= 0.0:
-        raise DimensionError("beta must be positive")
+    if not 0.0 < beta < np.inf:
+        raise DimensionError(f"beta must be finite and positive, got {beta}")
     if basis is None:
         basis = basis_set(mesh, degree)
     weighted_mass = assemble_L(mesh, basis)
@@ -351,45 +368,24 @@ def extreme_eigs(
 
     Only O(n) work vectors are kept: no Krylov basis, no
     reorthogonalization.  Running out of ``max_iter`` steps raises
-    :class:`EigsNotConverged` carrying the estimates so far; a direction of
-    non-positive curvature raises :class:`SolverFailure`.
+    :class:`EigsNotConverged` carrying the estimates so far; a breakdown of
+    the recurrence (p . A p <= 0, or r . P r < 0, or r . P r = 0 at the
+    start) raises :class:`SolverFailure`.
     """
-    rng = np.random.default_rng(seed)
-    r = rng.standard_normal(preconditioner.dim)
-    z = preconditioner.apply(r)
-    beta = float(r @ z)
-    if beta <= 0.0:
-        raise SolverFailure("the preconditioner is not positive definite", iterations=0)
-    p = np.zeros_like(r)
+    r = np.random.default_rng(seed).standard_normal(preconditioner.dim)
+    steps = zip(range(1, max_iter + 1), _pcg(operator, preconditioner, r))
     diagonal, off_diagonal = [], []
-    alpha = None
     next_check = 1
-    for k in range(1, max_iter + 1):
-        # r, z and p are rescaled to r.z = 1 every step; alpha and beta do
-        # not depend on that scale, and long runs would otherwise underflow
-        root = np.sqrt(beta)
-        r /= root
-        z /= root
-        p *= root
-        p += z
-        ap = operator @ p
-        curvature = float(p @ ap)
-        if curvature <= 0.0:
-            raise SolverFailure(
-                "Lanczos met a non-positive curvature direction", iterations=k
-            )
-        entry = curvature
-        if alpha is not None:
-            entry += beta / alpha
+    for k, (curvature, ratio, root, _) in steps:
+        if k == 1:
+            diagonal.append(curvature)
+        else:
+            diagonal.append(curvature + beta / alpha)
             off_diagonal.append(root / alpha)
-        diagonal.append(entry)
-        alpha = 1.0 / curvature
-        r -= alpha * ap
-        z = preconditioner.apply(r)
-        beta = float(r @ z)
-        if k >= next_check or k == max_iter or beta <= 0.0:
+        alpha, beta = 1.0 / curvature, ratio
+        if k >= next_check or k == max_iter or beta == 0.0:
             lam_max, lam_min, res_max, res_min = _extreme_ritz(
-                diagonal, off_diagonal, np.sqrt(max(beta, 0.0)) / alpha
+                diagonal, off_diagonal, np.sqrt(beta) / alpha
             )
             if max(res_max, res_min) <= tol:
                 return SpectralReport(
@@ -397,8 +393,8 @@ def extreme_eigs(
                 )
             # every step at first, then every k/20 steps
             next_check = k + max(1, k // 20)
-        if beta <= 0.0:  # r vanished: T_k is exact up to rounding
-            break
+    if not diagonal:
+        raise SolverFailure("r . P r = 0 at the start: P is singular", iterations=0)
     report = SpectralReport(
         lam_max, lam_min, lam_max / lam_min, k, k, res_max, res_min
     )

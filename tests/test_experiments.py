@@ -77,6 +77,8 @@ def test_config_defaults_resolution():
         {"tol": 2.0},
         {"levels": 2.0},
         {"max_iter": 2.5},
+        {"seed": -1},
+        {"seed": 1.5},
     ],
 )
 def test_config_rejects(kwargs):
@@ -251,6 +253,14 @@ def test_cli_nan_beta_is_a_config_error():
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_negative_seed_is_a_config_error():
+    proc = run_cli("--seed", "-1", "--levels", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("quasidiag: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_unopenable_out_is_a_config_error(tmp_path):
     proc = run_cli("--dim", "2", "--levels", "1",
                    "--out", str(tmp_path / "no" / "such" / "x.csv"))
@@ -340,10 +350,11 @@ def test_sweep_keeps_partial_table_on_failure(tmp_path, monkeypatch):
 def test_sweep_config_error_writes_nothing(tmp_path, capsys):
     script = load_sweep_script()
     out_dir = tmp_path / "results"
-    code = script.main([
-        "--out-dir", str(out_dir), "--only", "dim2_hm1_p0_uniform",
-        "--levels", "0", "--quiet",
-    ])
-    assert code == 2
-    assert "levels" in capsys.readouterr().err
-    assert not list(tmp_path.rglob("*.csv"))
+    for option, value in (("--levels", "0"), ("--seed", "-1")):
+        code = script.main([
+            "--out-dir", str(out_dir), "--only", "dim2_hm1_p0_uniform",
+            option, value, "--quiet",
+        ])
+        assert code == 2
+        assert option[2:] in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))

@@ -249,8 +249,9 @@ def test_factory_dimensions(lshape2d):
     np.testing.assert_array_equal(P1.coupling[12:], 0.0)
     with pytest.raises(DimensionError):
         quasi_diagonal_preconditioner(lshape2d, "h2", 0)
-    with pytest.raises(DimensionError):
-        quasi_diagonal_preconditioner(lshape2d, "tilde", 0, alpha=-1.0)
+    for alpha in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(DimensionError):
+            quasi_diagonal_preconditioner(lshape2d, "tilde", 0, alpha=alpha)
 
 
 def test_coupling_size_mismatch():

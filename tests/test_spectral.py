@@ -14,7 +14,7 @@ from quasidiag.assembly import (
     basis_set,
     p1_vertex_ids,
 )
-from quasidiag.errors import EigsNotConverged, SolverFailure
+from quasidiag.errors import DimensionError, EigsNotConverged, SolverFailure
 from quasidiag.mesh import SimplicialMesh, initial_mesh
 from quasidiag.precond import Preconditioner, quasi_diagonal_preconditioner
 from quasidiag.refine import adaptive_refine, uniform_refine
@@ -48,37 +48,111 @@ def unit_right_triangle():
 # conjugate gradients
 
 
+class CountingOperator:
+    """``matrix @ x`` through a count of the applies."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.shape = matrix.shape
+        self.calls = 0
+
+    def __matmul__(self, x):
+        self.calls += 1
+        return self.matrix @ x
+
+
+def identity(size):
+    return Preconditioner(sp.identity(size, format="csr"))
+
+
+def diagonal(entries):
+    return sp.diags(np.asarray(entries, dtype=float)).tocsr()
+
+
 def test_solve_spd_diagonal_quick():
-    A = sp.diags([1.0, 2.0, 4.0]).tocsr()
-    x, iters = solve_spd(A, np.array([1.0, 4.0, 12.0]), return_iterations=True)
+    A = CountingOperator(diagonal([1.0, 2.0, 4.0]))
+    x = solve_spd(A, np.array([1.0, 4.0, 12.0]), identity(3))
     np.testing.assert_allclose(x, [1.0, 2.0, 3.0], rtol=1e-10)
-    assert iters <= 3
+    assert A.calls <= 3
 
 
 def test_solve_spd_matches_direct(rng):
     A = random_spd(rng, 20)
     b = rng.standard_normal(20)
-    x = solve_spd(A, b, tol=1e-12)
+    x = solve_spd(A, b, identity(20), tol=1e-12)
     np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-8)
 
 
-def test_solve_spd_failure_on_tiny_budget(rng):
+def test_solve_spd_zero_rhs():
+    A = CountingOperator(diagonal([1.0, 2.0, 4.0]))
+    x = solve_spd(A, np.zeros(3), identity(3))
+    np.testing.assert_array_equal(x, 0.0)
+    assert A.calls == 0
+
+
+def test_solve_spd_fails_at_the_iteration_cap(rng):
     A = random_spd(rng, 30, spread=1e6)
     b = rng.standard_normal(30)
-    with pytest.raises(SolverFailure):
-        solve_spd(A, b, tol=1e-14, max_iter=2)
+    with pytest.raises(SolverFailure) as err:
+        solve_spd(A, b, identity(30), tol=1e-300)
+    assert err.value.iterations == 10 * 30
 
 
 def test_preconditioner_reduces_iterations(rng):
     diag = np.geomspace(1.0, 1e4, 40)
-    A = sp.diags(diag).tocsr()
+    plain, guided = CountingOperator(diagonal(diag)), CountingOperator(diagonal(diag))
     b = rng.standard_normal(40)
-    _, plain = solve_spd(A, b, tol=1e-10, return_iterations=True)
+    solve_spd(plain, b, identity(40), tol=1e-10)
     P = Preconditioner(sp.csr_matrix(np.diag(1.0 / diag)))
-    _, guided = solve_spd(A, b, preconditioner=P, tol=1e-10,
-                          return_iterations=True)
-    assert guided < plain
-    assert guided <= 3
+    solve_spd(guided, b, P, tol=1e-10)
+    assert guided.calls < plain.calls
+    assert guided.calls <= 3
+
+
+# operator and preconditioner diagonals on which the CG recurrence breaks
+# down mid-run, the message, and the step that meets it
+BREAKDOWNS = {
+    # r . P r < 0 after step 7, before the estimate has converged; read as
+    # convergence it gives lambda_max = 2969.6 with a bound of 1.6e-15,
+    # where the spectrum of P A lies in [-10, 85.3]
+    "indefinite-preconditioner": (
+        np.geomspace(1.0, 100.0, 30),
+        np.r_[np.ones(29), -0.1],
+        "preconditioner is not positive definite",
+        7,
+    ),
+    "indefinite-operator": (
+        np.r_[-1.0, np.geomspace(1.0, 100.0, 29)],
+        np.ones(30),
+        "non-positive curvature",
+        14,
+    ),
+}
+
+# both consumers of the recurrence, started from the same vector
+CONSUMERS = {
+    "extreme_eigs": lambda A, P: extreme_eigs(A, P, seed=0),
+    "solve_spd": lambda A, P: solve_spd(
+        A, np.random.default_rng(0).standard_normal(P.dim), P
+    ),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(CONSUMERS))
+@pytest.mark.parametrize("case", sorted(BREAKDOWNS))
+def test_breakdown_raises(case, consumer):
+    a, d, message, step = BREAKDOWNS[case]
+    with pytest.raises(SolverFailure, match=message) as err:
+        CONSUMERS[consumer](diagonal(a), Preconditioner(diagonal(d)))
+    assert err.value.iterations == step
+
+
+def test_extreme_eigs_zero_preconditioner_raises():
+    A = CountingOperator(diagonal(np.geomspace(1.0, 100.0, 30)))
+    with pytest.raises(SolverFailure, match="singular") as err:
+        extreme_eigs(A, Preconditioner(sp.csr_matrix((30, 30))))
+    assert err.value.iterations == 0
+    assert A.calls == 0
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +313,21 @@ def test_matmul_is_the_traced_apply(lshape2d, rng, monkeypatch):
     report = extreme_eigs(op, quasi_diagonal_preconditioner(mesh, "hm1", 0))
     assert report.iterations_max > 1
     assert len(calls) == report.iterations_max
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"space": "h2"},
+        {"beta": 0.0},
+        {"beta": -1.0},
+        {"beta": float("nan")},
+        {"beta": float("inf")},
+    ],
+)
+def test_gram_operator_rejects(lshape2d, kwargs):
+    with pytest.raises(DimensionError):
+        gram_operator(lshape2d, **kwargs)
 
 
 def test_dirichlet_rows_match_vertex_count(lshape2d):
