@@ -8,8 +8,7 @@ solver or eigenvalue failure ends that table early, keeping the rows written
 so far; the sweep goes on with the next configuration and exits with
 status 3.  An invalid configuration (say ``--levels 0``) exits with status 2
 before any file is written.  With default level caps the whole sweep takes
-about 10 minutes on two cores, most of it in the diagonal comparison at 2d
-level 7.
+about 30 seconds on two cores, most of it in the four 2d level-7 rows.
 """
 
 import argparse

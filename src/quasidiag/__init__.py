@@ -47,6 +47,7 @@ from .precond import (
     build_D,
     build_Dp,
     build_incidence,
+    diagonal_lambda_min,
     diagonal_preconditioner,
     quasi_diagonal_preconditioner,
 )

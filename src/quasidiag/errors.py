@@ -41,9 +41,10 @@ class SolverFailure(Exception):
     iteration cap, and when the conjugate-gradient recurrence shared by the
     linear solve and the Lanczos eigenvalue estimate breaks down: a
     direction of non-positive curvature (an operator that is not positive
-    definite), or r . P r < 0 (a preconditioner that is not positive
-    definite).  Lanczos raises on both, and on r . P r = 0 at its random
-    start, where it has nothing to estimate.
+    definite), r . P r < 0 (a preconditioner that is not positive
+    definite), or r . P r vanishing while r does not (a preconditioner
+    singular on r).  Lanczos also raises on a Ritz value below a
+    ``lambda_min`` it was given as exact.
     """
 
     def __init__(self, message, residual=None, iterations=None):

@@ -27,6 +27,7 @@ from .precond import (
     build_D,
     build_Dp,
     build_incidence,
+    diagonal_lambda_min,
     diagonal_preconditioner,
     quasi_diagonal_preconditioner,
 )
@@ -51,8 +52,7 @@ class ExperimentConfig:
     """Full description of one condition-number experiment.
 
     ``levels``, ``alpha`` and ``beta`` may be left as None to receive the
-    per-dimension defaults via :meth:`resolved`.  ``with_diag`` controls
-    whether the diagonally scaled comparison column is computed.
+    per-dimension defaults via :meth:`resolved`.
     """
 
     dim: int = 2
@@ -67,7 +67,6 @@ class ExperimentConfig:
     max_iter: int = EIGS_MAX_ITER
     seed: int = 0
     dump_matrices: str | None = None
-    with_diag: bool = True
 
     def resolved(self) -> "ExperimentConfig":
         """Copy with all None fields replaced by the shipped defaults."""
@@ -224,16 +223,15 @@ def run_experiment(config: ExperimentConfig, clock=None, row_callback=None):
             max_iter=config.max_iter,
             seed=np.random.SeedSequence(config.seed, spawn_key=(level, 0)),
         )
-        cond_diag = float("nan")
-        if config.with_diag:
-            diag = diagonal_preconditioner(mesh, config.degree, basis=basis)
-            cond_diag = extreme_eigs(
-                gram,
-                diag,
-                tol=config.tol,
-                max_iter=config.max_iter,
-                seed=np.random.SeedSequence(config.seed, spawn_key=(level, 1)),
-            ).kappa
+        diag = diagonal_preconditioner(mesh, config.degree, basis=basis)
+        cond_diag = extreme_eigs(
+            gram,
+            diag,
+            tol=config.tol,
+            max_iter=config.max_iter,
+            seed=np.random.SeedSequence(config.seed, spawn_key=(level, 1)),
+            lambda_min=diagonal_lambda_min(gram, mesh, config.degree),
+        ).kappa
         if config.dump_matrices:
             _dump_level(config, mesh, basis, level)
         row = ExperimentRow(

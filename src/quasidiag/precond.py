@@ -17,7 +17,9 @@ rank-one coupling c, evaluated lazily:
   the characteristic functions, so that c c^t = alpha 1 1^t;
 - degree 1 joins the bubble diagonal Dp to S as a diagonal block, which
   the coupling does not touch;
-- the comparison preconditioner is S = diag(|T|^(-(n+2)/n), Dp).
+- the comparison preconditioner is S = diag(|T|^(-(n+2)/n), Dp); the
+  smallest eigenvalue of the Gram operator it scales is known in closed
+  form on most meshes (:func:`diagonal_lambda_min`).
 """
 
 from __future__ import annotations
@@ -208,3 +210,23 @@ def diagonal_preconditioner(
     return Preconditioner(
         sp.diags(np.concatenate([1.0 / build_C(mesh), build_Dp(mesh, basis)]))
     )
+
+
+def diagonal_lambda_min(gram, mesh: SimplicialMesh, degree: int = 0) -> float | None:
+    """Smallest eigenvalue of the diagonally scaled Gram operator, or None.
+
+    ``gram`` is the operator A = M^t R^{-1} M + beta L of ``mesh``.  Since
+    A >= beta L, lambda_min(P A) >= beta mu with mu = lambda_min(P L) for
+    the comparison P.  P L is block diagonal per element: 1 on the
+    characteristic function, and for degree 1 ((n + 1) I - 1 1^t) / n on
+    the bubbles, with eigenvalues 1/n (eigenvector 1) and (n + 1)/n.  So
+    mu = 1 for degree 0 and 1/n for degree 1, with one eigenvector per
+    element.  Those nE vectors meet the kernel of M once nE exceeds the
+    rows of M (0 when the Dirichlet space is empty), and there P A x =
+    beta mu x: the bound is attained.  Otherwise the count proves nothing
+    and the result is None.
+    """
+    rows = 0 if gram.pairing is None else gram.pairing.shape[0]
+    if mesh.num_elements <= rows:
+        return None
+    return gram.beta * (1.0 if degree == 0 else 1.0 / mesh.dim)

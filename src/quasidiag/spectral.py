@@ -17,7 +17,8 @@ and :class:`GramOperator` alike.  The only eigenvalue loop is
 coefficients of preconditioned conjugate gradients on A x = b.  It needs
 only A and P applies, no solves with P, and it stops on an a-posteriori
 bound: each end of the spectrum is within a relative Ritz residual ``tol``
-of an eigenvalue of the preconditioned operator.  The top eigenvalue of
+of an eigenvalue of the preconditioned operator, or the top end alone when
+the caller gives the bottom one in closed form.  The top eigenvalue of
 the pencil (L, A) is the reciprocal of the bottom end of the estimate for
 A preconditioned by L^{-1}.  The linear solves of :func:`solve_spd` run
 the same conjugate-gradient recurrence, :func:`_pcg`.
@@ -80,15 +81,13 @@ def _pcg(operator, preconditioner, r):
     r by; p is the rescaled direction, overwritten by the next step.  The
     true r and p are the rescaled ones times the product of the roots.
 
-    The run ends when r . P r reaches 0.  p . A p <= 0 (an operator that is
-    not positive definite) or r . P r < 0 (a preconditioner that is not
-    positive definite) raises :class:`SolverFailure` before it is yielded.
+    The run ends when r reaches 0.  p . A p <= 0 (an operator that is not
+    positive definite) raises :class:`SolverFailure` before it is yielded,
+    as does an r . P r that shows P is not positive definite on r (see
+    :func:`_check_residual`).
     """
-    indefinite = "the preconditioner is not positive definite"
     z = preconditioner.apply(r)
-    beta = float(r @ z)
-    if beta < 0.0:
-        raise SolverFailure(indefinite, iterations=0)
+    beta = _check_residual(r, z, 0)
     p = np.zeros_like(r)
     k = 0
     while beta != 0.0:
@@ -108,10 +107,33 @@ def _pcg(operator, preconditioner, r):
         alpha = 1.0 / curvature
         r -= alpha * ap
         z = preconditioner.apply(r)
-        beta = float(r @ z)
-        if beta < 0.0:
-            raise SolverFailure(indefinite, iterations=k)
+        beta = _check_residual(r, z, k)
         yield curvature, beta, root, p
+
+
+# an SPD P of condition number kappa has r . P r >= |r| |P r| / sqrt(kappa)
+# for every r, so a cosine below sqrt(eps) needs kappa > 1 / eps
+SINGULAR_COSINE = float(np.sqrt(np.finfo(float).eps))
+
+
+def _check_residual(r, z, k: int) -> float:
+    """r . P r from r and z = P r, checked for a positive definite P.
+
+    Raises :class:`SolverFailure` when r . P r < 0, and when r is not 0 but
+    r . P r is at most ``SINGULAR_COSINE`` |r| |P r| (0 included): P is
+    then singular to working precision on r, and a small r . P r would
+    read as convergence although r is not small.
+    """
+    beta = float(r @ z)
+    if beta < 0.0:
+        raise SolverFailure("the preconditioner is not positive definite", iterations=k)
+    if beta <= SINGULAR_COSINE * np.linalg.norm(r) * np.linalg.norm(z) and r.any():
+        raise SolverFailure(
+            "the preconditioner is singular on the residual: r . P r vanishes "
+            "although r does not",
+            iterations=k,
+        )
+    return beta
 
 
 def solve_spd(operator, rhs, preconditioner, tol: float = INNER_CG_TOL) -> np.ndarray:
@@ -299,7 +321,8 @@ class SpectralReport:
     ``residual_min`` are the relative Ritz residual bounds at the end of the
     run: the preconditioned operator has an eigenvalue within
     ``residual_max * lambda_max`` of ``lambda_max``, and likewise at the
-    bottom.
+    bottom.  ``residual_min == 0`` means ``lambda_min`` was given to the
+    estimate in closed form and is exact.
     """
 
     lambda_max: float
@@ -318,7 +341,7 @@ def _extreme_ritz(diagonal, off_diagonal, coupling):
     vector; a Ritz pair (theta, s) of T_k has residual coupling * |s_k|.
     The bound adds k * eps * theta_max, the rounding level of k Lanczos
     steps and of the tridiagonal eigensolver, below which it means nothing.
-    Returns (lambda_max, lambda_min, bound_max, bound_min).
+    Returns (lambda_max, lambda_min, bound_max, bound_min, rounding).
     """
     k = len(diagonal)
     d = np.asarray(diagonal)
@@ -336,6 +359,7 @@ def _extreme_ritz(diagonal, off_diagonal, coupling):
         lam_min,
         (res_max + rounding) / lam_max,
         (res_min + rounding) / lam_min,
+        rounding,
     )
 
 
@@ -345,6 +369,7 @@ def extreme_eigs(
     tol: float = EIGS_TOL,
     max_iter: int = EIGS_MAX_ITER,
     seed=0,
+    lambda_min: float | None = None,
 ) -> SpectralReport:
     """Extreme eigenvalues of the preconditioned operator, and their ratio.
 
@@ -366,11 +391,17 @@ def extreme_eigs(
     with a random start, the nearest is the extreme one unless ``tol`` is
     loose enough to stop before the end of the spectrum is resolved.
 
+    ``lambda_min``, when given, is the exact smallest eigenvalue of P A
+    (say from :func:`quasidiag.precond.diagonal_lambda_min`).  The run then
+    stops on the top bound alone and reports that value with
+    ``residual_min = 0``.  Ritz values cannot lie below the spectrum, so a
+    theta_min below ``lambda_min`` by more than the rounding term raises
+    :class:`SolverFailure`: the given value, or the operator, is wrong.
+
     Only O(n) work vectors are kept: no Krylov basis, no
     reorthogonalization.  Running out of ``max_iter`` steps raises
     :class:`EigsNotConverged` carrying the estimates so far; a breakdown of
-    the recurrence (p . A p <= 0, or r . P r < 0, or r . P r = 0 at the
-    start) raises :class:`SolverFailure`.
+    the recurrence (see :func:`_pcg`) raises :class:`SolverFailure`.
     """
     r = np.random.default_rng(seed).standard_normal(preconditioner.dim)
     steps = zip(range(1, max_iter + 1), _pcg(operator, preconditioner, r))
@@ -384,9 +415,17 @@ def extreme_eigs(
             off_diagonal.append(root / alpha)
         alpha, beta = 1.0 / curvature, ratio
         if k >= next_check or k == max_iter or beta == 0.0:
-            lam_max, lam_min, res_max, res_min = _extreme_ritz(
+            lam_max, lam_min, res_max, res_min, rounding = _extreme_ritz(
                 diagonal, off_diagonal, np.sqrt(beta) / alpha
             )
+            if lambda_min is not None:
+                if lam_min < lambda_min - rounding:
+                    raise SolverFailure(
+                        f"Ritz value {lam_min} lies below the given "
+                        f"lambda_min {lambda_min}",
+                        iterations=k,
+                    )
+                lam_min, res_min = lambda_min, 0.0
             if max(res_max, res_min) <= tol:
                 return SpectralReport(
                     lam_max, lam_min, lam_max / lam_min, k, k, res_max, res_min
@@ -394,7 +433,7 @@ def extreme_eigs(
             # every step at first, then every k/20 steps
             next_check = k + max(1, k // 20)
     if not diagonal:
-        raise SolverFailure("r . P r = 0 at the start: P is singular", iterations=0)
+        raise SolverFailure("the start vector is zero: the space is empty", iterations=0)
     report = SpectralReport(
         lam_max, lam_min, lam_max / lam_min, k, k, res_max, res_min
     )

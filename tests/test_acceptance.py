@@ -17,6 +17,8 @@ from quasidiag.experiments import ExperimentConfig, run_experiment
 from quasidiag.mesh import SimplicialMesh, initial_mesh
 from quasidiag.precond import (
     build_incidence,
+    diagonal_lambda_min,
+    diagonal_preconditioner,
     quasi_diagonal_preconditioner,
 )
 from quasidiag.refine import (
@@ -114,7 +116,6 @@ def test_criterion_4_all_surrogates(uniform_2d_run, capsys):
                 space=space,
                 levels=levels[dim],
                 alpha=ALPHA[dim],
-                with_diag=False,
             )
             start = time.perf_counter()
             rows = run_experiment(cfg)
@@ -167,6 +168,21 @@ def test_criterion_5_oracle_equivalence(capsys):
     with capsys.disabled():
         print(f"ACCEPTANCE criterion 5: PASS "
               f"({checked} cases, worst rel err {worst:.2e})")
+
+
+def test_diagonal_lambda_min_is_the_dense_bottom():
+    # the closed form the diagonal column's estimate takes as its bottom end
+    for mesh in oracle_suite_meshes():
+        for space, degree in itertools.product(("hm1", "tilde"), (0, 1)):
+            op = gram_operator(mesh, space, degree, beta=BETA)
+            floor = diagonal_lambda_min(op, mesh, degree)
+            lmin, _, _ = dense_condition_number(
+                op, diagonal_preconditioner(mesh, degree)
+            )
+            assert floor == pytest.approx(lmin, rel=1e-12), (
+                f"dim={mesh.dim} {mesh.num_elements} elements "
+                f"space={space} p={degree}"
+            )
 
 
 def random_refined_meshes(count, seed=2026):

@@ -123,12 +123,6 @@ def test_degree_one_dof_count():
     assert rows[0].num_dofs == 12 * 3
 
 
-def test_with_diag_off():
-    cfg = ExperimentConfig(dim=2, levels=1, with_diag=False)
-    rows = run_experiment(cfg)
-    assert np.isnan(rows[0].cond_diag)
-
-
 def test_row_callback_streams():
     seen = []
     cfg = ExperimentConfig(dim=2, levels=2)

@@ -16,7 +16,12 @@ from quasidiag.assembly import (
 )
 from quasidiag.errors import DimensionError, EigsNotConverged, SolverFailure
 from quasidiag.mesh import SimplicialMesh, initial_mesh
-from quasidiag.precond import Preconditioner, quasi_diagonal_preconditioner
+from quasidiag.precond import (
+    Preconditioner,
+    diagonal_lambda_min,
+    diagonal_preconditioner,
+    quasi_diagonal_preconditioner,
+)
 from quasidiag.refine import adaptive_refine, uniform_refine
 from quasidiag.spectral import (
     DIRECT_SOLVE_LIMIT,
@@ -127,6 +132,15 @@ BREAKDOWNS = {
         "non-positive curvature",
         14,
     ),
+    # r . P r falls to 7e-16 of its last value at step 15 while r grows in
+    # the kernel of P; read as convergence, P A (15 zero eigenvalues) had
+    # kappa = 9.24 with bounds below 1e-8, and the solve a residual of 3.9
+    "semi-definite-preconditioner": (
+        np.geomspace(1.0, 100.0, 30),
+        np.r_[np.ones(15), np.zeros(15)],
+        "singular on the residual",
+        15,
+    ),
 }
 
 # both consumers of the recurrence, started from the same vector
@@ -145,6 +159,14 @@ def test_breakdown_raises(case, consumer):
     with pytest.raises(SolverFailure, match=message) as err:
         CONSUMERS[consumer](diagonal(a), Preconditioner(diagonal(d)))
     assert err.value.iterations == step
+
+
+def test_solve_spd_zero_preconditioner_raises():
+    A = CountingOperator(diagonal(np.geomspace(1.0, 100.0, 30)))
+    with pytest.raises(SolverFailure, match="singular") as err:
+        solve_spd(A, np.ones(30), Preconditioner(sp.csr_matrix((30, 30))))
+    assert err.value.iterations == 0
+    assert A.calls == 0
 
 
 def test_extreme_eigs_zero_preconditioner_raises():
@@ -376,6 +398,62 @@ def test_extreme_eigs_against_dense(rng):
     assert report.lambda_min == pytest.approx(lmin, rel=5e-3)
     assert report.kappa == pytest.approx(kappa, rel=5e-3)
     assert_ritz_bounds_hold(report, 1e-9, lmin, lmax)
+
+
+def test_extreme_eigs_given_lambda_min_stops_on_the_top(lshape2d):
+    mesh = uniform_refine(lshape2d)
+    op = gram_operator(mesh, "hm1", 1, beta=0.1)
+    P = diagonal_preconditioner(mesh, 1)
+    floor = diagonal_lambda_min(op, mesh, 1)
+    lmin, lmax, kappa = dense_condition_number(op, P)
+    two_sided = extreme_eigs(op, P, tol=1e-8)
+    report = extreme_eigs(op, P, tol=1e-8, lambda_min=floor)
+    assert (report.lambda_min, report.residual_min) == (floor, 0.0)
+    assert report.iterations_max < two_sided.iterations_max
+    assert report.residual_max <= 1e-8
+    assert abs(report.lambda_max - lmax) <= report.residual_max * report.lambda_max
+    assert floor == pytest.approx(lmin, rel=1e-12)
+    assert report.kappa == pytest.approx(kappa, rel=1e-8)
+
+
+def test_extreme_eigs_rejects_lambda_min_above_the_spectrum(lshape2d):
+    op = gram_operator(lshape2d, "hm1", 0, beta=0.1)
+    P = diagonal_preconditioner(lshape2d, 0)
+    floor = diagonal_lambda_min(op, lshape2d, 0)
+    with pytest.raises(SolverFailure, match="below the given lambda_min"):
+        extreme_eigs(op, P, lambda_min=2.0 * floor)
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_single_simplex_has_no_closed_form(degree):
+    # one element against three free vertices: the count certifies nothing,
+    # and the bottom of the spectrum indeed lies above beta * mu
+    mesh = unit_right_triangle()
+    op = gram_operator(mesh, "tilde", degree, beta=0.1)
+    P = diagonal_preconditioner(mesh, degree)
+    assert diagonal_lambda_min(op, mesh, degree) is None
+    lmin, lmax, _ = dense_condition_number(op, P)
+    assert lmin > 1.5 * 0.1 * (1.0 if degree == 0 else 0.5)
+    report = extreme_eigs(op, P, tol=1e-8, lambda_min=None)
+    assert report.residual_min > 0.0
+    assert_ritz_bounds_hold(report, 1e-8, lmin, lmax)
+
+
+def test_diagonal_kappa_on_uniform_tilde_meshes(lshape2d):
+    # past the dense oracle's reach: on uniform 2d meshes the diagonally
+    # scaled tilde operator has lambda_max = 4^L + beta and lambda_min =
+    # beta mu, so kappa = 10 4^L + 1 (p = 0) and 20 4^L + 2 (p = 1)
+    mesh = lshape2d
+    for level in range(1, 7):
+        if level > 1:
+            mesh = uniform_refine(mesh)
+        for degree, want in ((0, 10 * 4**level + 1), (1, 20 * 4**level + 2)):
+            basis = basis_set(mesh, degree)
+            op = gram_operator(mesh, "tilde", degree, beta=0.1, basis=basis)
+            P = diagonal_preconditioner(mesh, degree, basis=basis)
+            report = extreme_eigs(op, P, lambda_min=diagonal_lambda_min(op, mesh, degree))
+            assert report.residual_min == 0.0
+            assert report.kappa == pytest.approx(want, rel=EIGS_TOL), (level, degree)
 
 
 def test_extreme_eigs_stall_reports(rng):
