@@ -35,11 +35,17 @@ BOUNDARY_CONDITIONS = ("dirichlet", "free")
 # vertex bookkeeping
 
 
+def _on_boundary(mesh: SimplicialMesh) -> np.ndarray:
+    """Boolean mask over the vertices: True on some boundary facet."""
+    topo = mesh.facets
+    mask = np.zeros(mesh.num_vertices, dtype=bool)
+    mask[topo.vertex_ids[topo.is_boundary]] = True
+    return mask
+
+
 def boundary_vertices(mesh: SimplicialMesh) -> np.ndarray:
     """Sorted ids of all vertices lying on some boundary facet."""
-    topo = mesh.facets
-    on_boundary = topo.vertex_ids[topo.is_boundary]
-    return np.unique(on_boundary)
+    return np.flatnonzero(_on_boundary(mesh)).astype(np.int64, copy=False)
 
 
 def p1_vertex_ids(mesh: SimplicialMesh, boundary_condition: str) -> np.ndarray:
@@ -55,9 +61,7 @@ def p1_vertex_ids(mesh: SimplicialMesh, boundary_condition: str) -> np.ndarray:
             f"boundary condition must be one of {BOUNDARY_CONDITIONS}, "
             f"got {boundary_condition!r}"
         )
-    keep = np.setdiff1d(
-        np.arange(mesh.num_vertices, dtype=np.int64), boundary_vertices(mesh)
-    )
+    keep = np.flatnonzero(~_on_boundary(mesh)).astype(np.int64, copy=False)
     if keep.size == 0:
         raise EmptySpace("all vertices lie on the boundary")
     return keep

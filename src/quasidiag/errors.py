@@ -44,7 +44,9 @@ class SolverFailure(Exception):
     definite), r . P r < 0 (a preconditioner that is not positive
     definite), or r . P r vanishing while r does not (a preconditioner
     singular on r).  Lanczos also raises on a Ritz value below a
-    ``lambda_min`` it was given as exact.
+    ``lambda_min`` it was given as exact, on a non-finite entry of its
+    tridiagonal matrix, and when LAPACK fails to find that matrix's
+    extreme eigenpairs.
     """
 
     def __init__(self, message, residual=None, iterations=None):

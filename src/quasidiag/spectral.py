@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.lapack import dstebz, dstein
 from scipy.sparse.linalg import inv, splu
 
 from .assembly import (
@@ -334,6 +335,31 @@ class SpectralReport:
     residual_min: float
 
 
+def _ritz_end(d, e, index: int):
+    """Eigenvalue ``index`` (1-based, ascending) of the tridiagonal (d, e)
+    and the last entry of its unit eigenvector.
+
+    LAPACK bisection (dstebz) for the value, inverse iteration (dstein) for
+    the vector: the routines, and the arguments, that
+    ``scipy.linalg.eigh_tridiagonal(d, e, select="i")`` passes them, called
+    without that wrapper's argument handling.  A failed routine raises
+    :class:`SolverFailure`.
+    """
+    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, index, index, 0.0, "B")
+    if info != 0 or m != 1:
+        raise SolverFailure(
+            f"tridiagonal bisection (dstebz) failed: info={info}, {m} values",
+            iterations=len(d),
+        )
+    vector, info = dstein(d, e, w[:m], iblock, isplit)
+    if info != 0:
+        raise SolverFailure(
+            f"tridiagonal inverse iteration (dstein) failed: info={info}",
+            iterations=len(d),
+        )
+    return float(w[0]), float(vector[-1, 0])
+
+
 def _extreme_ritz(diagonal, off_diagonal, coupling):
     """Extreme Ritz values of T_k and their relative residual bounds.
 
@@ -341,17 +367,19 @@ def _extreme_ritz(diagonal, off_diagonal, coupling):
     vector; a Ritz pair (theta, s) of T_k has residual coupling * |s_k|.
     The bound adds k * eps * theta_max, the rounding level of k Lanczos
     steps and of the tridiagonal eigensolver, below which it means nothing.
-    Returns (lambda_max, lambda_min, bound_max, bound_min, rounding).
+    Returns (lambda_max, lambda_min, bound_max, bound_min, rounding).  A
+    non-finite entry of T_k raises :class:`SolverFailure`.
     """
     k = len(diagonal)
     d = np.asarray(diagonal)
     e = np.asarray(off_diagonal)
-    ends = []
-    for index in (k - 1, 0):
-        theta, vector = scipy.linalg.eigh_tridiagonal(
-            d, e, select="i", select_range=(index, index)
-        )
-        ends.append((float(theta[0]), float(coupling * abs(vector[-1, 0]))))
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise SolverFailure("the Lanczos matrix has a non-finite entry", iterations=k)
+    if k == 1:
+        top = bottom = (float(d[0]), 1.0)
+    else:
+        top, bottom = _ritz_end(d, e, k), _ritz_end(d, e, 1)
+    ends = [(theta, float(coupling * abs(last))) for theta, last in (top, bottom)]
     rounding = k * float(np.finfo(float).eps) * ends[0][0]
     (lam_max, res_max), (lam_min, res_min) = ends
     return (
@@ -401,8 +429,16 @@ def extreme_eigs(
     Only O(n) work vectors are kept: no Krylov basis, no
     reorthogonalization.  Running out of ``max_iter`` steps raises
     :class:`EigsNotConverged` carrying the estimates so far; a breakdown of
-    the recurrence (see :func:`_pcg`) raises :class:`SolverFailure`.
+    the recurrence (see :func:`_pcg`) raises :class:`SolverFailure`.  A
+    ``max_iter`` below 1, or a ``lambda_min`` that is not finite and
+    positive, raises :class:`DimensionError`.
     """
+    if max_iter < 1:
+        raise DimensionError(f"max_iter must be at least 1, got {max_iter}")
+    if lambda_min is not None and not 0.0 < lambda_min < np.inf:
+        raise DimensionError(
+            f"lambda_min must be finite and positive, got {lambda_min}"
+        )
     r = np.random.default_rng(seed).standard_normal(preconditioner.dim)
     steps = zip(range(1, max_iter + 1), _pcg(operator, preconditioner, r))
     diagonal, off_diagonal = [], []

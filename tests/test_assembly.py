@@ -64,6 +64,23 @@ def test_p1_vertex_ids(lshape2d):
     np.testing.assert_array_equal(p1_vertex_ids(lshape2d, "dirichlet"), [8, 9, 10])
 
 
+@pytest.mark.parametrize("dim, levels", [(2, 4), (3, 2)])
+def test_vertex_ids_match_the_set_difference(dim, levels):
+    # the sort-based formula the boolean mask replaced, kept as the oracle
+    mesh = initial_mesh(dim)
+    for _ in range(levels):
+        mesh = uniform_refine(mesh)
+    topo = mesh.facets
+    boundary = np.unique(topo.vertex_ids[topo.is_boundary])
+    interior = np.setdiff1d(np.arange(mesh.num_vertices, dtype=np.int64), boundary)
+    for got, want in (
+        (boundary_vertices(mesh), boundary),
+        (p1_vertex_ids(mesh, "dirichlet"), interior),
+    ):
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+
 def test_p1_empty_dirichlet_raises():
     with pytest.raises(EmptySpace):
         p1_vertex_ids(unit_right_triangle(), "dirichlet")

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import example, given, strategies as st
 from scipy.sparse.linalg import LinearOperator, lobpcg, splu
 
 from quasidiag import spectral
@@ -27,6 +29,7 @@ from quasidiag.spectral import (
     DIRECT_SOLVE_LIMIT,
     EIGS_TOL,
     GramOperator,
+    _extreme_ritz,
     _spd_solver,
     _VCycle,
     dense_action,
@@ -424,6 +427,22 @@ def test_extreme_eigs_rejects_lambda_min_above_the_spectrum(lshape2d):
         extreme_eigs(op, P, lambda_min=2.0 * floor)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"lambda_min": 0.0},
+        {"lambda_min": -1.0},
+        {"lambda_min": float("nan")},
+        {"lambda_min": float("inf")},
+        {"max_iter": 0},
+    ],
+)
+def test_extreme_eigs_rejects(kwargs):
+    A = diagonal([1.0, 2.0, 3.0])
+    with pytest.raises(DimensionError):
+        extreme_eigs(A, identity(3), **kwargs)
+
+
 @pytest.mark.parametrize("degree", [0, 1])
 def test_single_simplex_has_no_closed_form(degree):
     # one element against three free vertices: the count certifies nothing,
@@ -454,6 +473,77 @@ def test_diagonal_kappa_on_uniform_tilde_meshes(lshape2d):
             report = extreme_eigs(op, P, lambda_min=diagonal_lambda_min(op, mesh, degree))
             assert report.residual_min == 0.0
             assert report.kappa == pytest.approx(want, rel=EIGS_TOL), (level, degree)
+
+
+def ritz_through_eigh_tridiagonal(diagonal, off_diagonal, coupling):
+    """Reference for ``_extreme_ritz``: both ends through eigh_tridiagonal."""
+    k = len(diagonal)
+    d = np.asarray(diagonal)
+    e = np.asarray(off_diagonal)
+    ends = []
+    for index in (k - 1, 0):
+        theta, vector = scipy.linalg.eigh_tridiagonal(
+            d, e, select="i", select_range=(index, index)
+        )
+        ends.append((float(theta[0]), float(coupling * abs(vector[-1, 0]))))
+    rounding = k * float(np.finfo(float).eps) * ends[0][0]
+    (lam_max, res_max), (lam_min, res_min) = ends
+    return (
+        lam_max,
+        lam_min,
+        (res_max + rounding) / lam_max,
+        (res_min + rounding) / lam_min,
+        rounding,
+    )
+
+
+@given(
+    k=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    split=st.booleans(),
+    repeated=st.booleans(),
+)
+@example(k=1, seed=0, split=False, repeated=False)
+@example(k=2, seed=0, split=True, repeated=True)
+@example(k=300, seed=1, split=True, repeated=True)
+def test_extreme_ritz_matches_eigh_tridiagonal(k, seed, split, repeated):
+    # T_k as Lanczos builds it: positive diagonal, off-diagonal >= 0; an
+    # exact zero splits it into blocks, and equal diagonals with a split
+    # give repeated eigenvalues
+    rng = np.random.default_rng(seed)
+    if repeated:
+        d = rng.choice([2.0, 3.0], size=k)
+    else:
+        d = rng.uniform(1.0, 10.0, size=k)
+    e = rng.uniform(0.0, 0.45, size=k - 1)
+    if split and k > 1:
+        e[rng.integers(k - 1)] = 0.0
+    coupling = float(rng.uniform(1e-6, 1.0))
+    got = _extreme_ritz(list(d), list(e), coupling)
+    want = ritz_through_eigh_tridiagonal(list(d), list(e), coupling)
+    assert got == want
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_extreme_ritz_lapack_failure_raises(routine, monkeypatch):
+    real = getattr(spectral, routine)
+
+    def failing(*args):
+        *out, info = real(*args)
+        return (*out, 1)
+
+    monkeypatch.setattr(spectral, routine, failing)
+    with pytest.raises(SolverFailure, match=routine):
+        _extreme_ritz([2.0, 3.0, 4.0], [0.5, 0.5], 1.0)
+
+
+@pytest.mark.parametrize(
+    "diagonal, off_diagonal",
+    [([float("inf")], []), ([2.0, float("nan")], [0.5]), ([2.0, 3.0], [float("inf")])],
+)
+def test_extreme_ritz_non_finite_raises(diagonal, off_diagonal):
+    with pytest.raises(SolverFailure, match="non-finite"):
+        _extreme_ritz(diagonal, off_diagonal, 1.0)
 
 
 def test_extreme_eigs_stall_reports(rng):
