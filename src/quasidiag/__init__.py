@@ -68,7 +68,6 @@ from .spectral import (
     dense_condition_number,
     extreme_eigs,
     gram_operator,
-    pencil_max_eig,
     solve_spd,
 )
 

@@ -20,8 +20,12 @@ Element ordering conventions:
 
 * n = 2: the first two vertices of an element span its refinement edge (the
   newest vertex sits last); :func:`initial_mesh` emits the longest edge first.
-* n = 3, 4: elements are stored in path order compatible with the midpoint
-  refinement scheme in :mod:`quasidiag.refine`.
+* n = 3, 4: every element lists its vertex ids in ascending order, so the
+  ids are a global vertex order, the one the path subdivision of
+  :mod:`quasidiag.refine` needs to stay conforming.  In 3d the prism over
+  a footprint triangle (a, b, c), a < b < c, is cut into (a, b, c, c'),
+  (a, b, b', c') and (a, a', b', c'), where v' = v + 9 is the top copy of
+  bottom vertex v; in 4d each Kuhn path only sets coordinate bits.
 """
 
 from __future__ import annotations

@@ -8,13 +8,16 @@ Refinement schemes by dimension:
   refinement edge is one of the remaining parent edges.  Uniform refinement
   is NVB with every edge marked: each element is bisected and then both
   children, yielding 4 children per element.
-* n = 3: red refinement into 8 children: 4 corner tetrahedra plus a 4-way
-  split of the interior octahedron along its shortest diagonal (ties broken
-  by local index order).
-* n = 4: midpoint refinement into 16 children, generated from the reference
-  subdivision of the ordered simplex into half-scale path simplices.
-  Children inherit the path ordering of their parent, which keeps the scheme
-  conforming on Kuhn-type meshes such as :func:`quasidiag.mesh.initial_mesh`.
+* n = 3, 4: Freudenthal's path subdivision (Bey 2000) into 2^n half-scale
+  children, generated from the reference subdivision of the ordered simplex
+  (:func:`_path_children_pattern`).  Each child vertex is the midpoint of a
+  parent vertex pair (x_a, x_b), a <= b, and along the child's vertex list
+  neither a nor b decreases.  The scheme is conforming when every element
+  lists its vertices ascending in one global vertex order, as
+  :func:`quasidiag.mesh.initial_mesh` does: a shared facet is then
+  subdivided the same way from both sides.  Ordering the fine vertices by
+  (later end, earlier end) of their parent pair is again such an order, so
+  the children inherit it and every level stays conforming.
 
 Adaptive refinement (2D only) combines :func:`singular_indicator`,
 :func:`dorfler_mark` and :func:`nvb_refine`.
@@ -141,58 +144,7 @@ def _bisect(mesh: SimplicialMesh, marked_edge: np.ndarray) -> SimplicialMesh:
 
 
 # ---------------------------------------------------------------------------
-# 3D red refinement
-
-
-_EDGES_3D = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-# octahedron splits per diagonal choice: (diagonal pair, cycle of the rest);
-# consecutive cycle entries share a tetrahedron vertex
-_OCTA_SPLITS = [
-    ((0, 5), (1, 2, 4, 3)),  # diagonal m01-m23
-    ((1, 4), (0, 2, 5, 3)),  # diagonal m02-m13
-    ((2, 3), (0, 1, 5, 4)),  # diagonal m03-m12
-]
-
-
-def _uniform_refine_3d(mesh: SimplicialMesh) -> SimplicialMesh:
-    el = mesh.elements
-    nT = mesh.num_elements
-    edges = np.concatenate([el[:, [i, j]] for i, j in _EDGES_3D])
-    grown, mids, parents = _append_midpoints(mesh.vertices, edges)
-    m = mids.reshape(6, nT).T  # columns follow _EDGES_3D order
-
-    corners = np.empty((nT, 4, 4), dtype=np.int64)
-    corners[:, 0] = np.column_stack([el[:, 0], m[:, 0], m[:, 1], m[:, 2]])
-    corners[:, 1] = np.column_stack([el[:, 1], m[:, 0], m[:, 3], m[:, 4]])
-    corners[:, 2] = np.column_stack([el[:, 2], m[:, 1], m[:, 3], m[:, 5]])
-    corners[:, 3] = np.column_stack([el[:, 3], m[:, 2], m[:, 4], m[:, 5]])
-
-    diag_sq = np.stack(
-        [
-            np.sum((grown[m[:, i]] - grown[m[:, j]]) ** 2, axis=1)
-            for (i, j), _ in _OCTA_SPLITS
-        ],
-        axis=1,
-    )
-    choice = np.argmin(diag_sq, axis=1)  # first minimum wins ties
-
-    octa_variants = []
-    for (i, j), cycle in _OCTA_SPLITS:
-        tets = np.empty((nT, 4, 4), dtype=np.int64)
-        for t in range(4):
-            c1, c2 = cycle[t], cycle[(t + 1) % 4]
-            tets[:, t] = np.column_stack([m[:, i], m[:, j], m[:, c1], m[:, c2]])
-        octa_variants.append(tets)
-    octa = np.select(
-        [choice[:, None, None] == k for k in range(3)], octa_variants
-    )
-
-    children = np.concatenate([corners, octa], axis=1)
-    return _refined(mesh, grown, children.reshape(-1, 4), parents)
-
-
-# ---------------------------------------------------------------------------
-# dimension-generic midpoint refinement (used for n = 4)
+# path refinement (n >= 3)
 
 
 @lru_cache(maxsize=None)
@@ -224,7 +176,7 @@ def _path_children_pattern(n: int):
     return tuple(cells)
 
 
-def _uniform_refine_midpoint(mesh: SimplicialMesh) -> SimplicialMesh:
+def _uniform_refine_path(mesh: SimplicialMesh) -> SimplicialMesh:
     n = mesh.dim
     el = mesh.elements
     nT = mesh.num_elements
@@ -242,14 +194,11 @@ def _uniform_refine_midpoint(mesh: SimplicialMesh) -> SimplicialMesh:
 
 
 def uniform_refine(mesh: SimplicialMesh) -> SimplicialMesh:
-    """Replace every element by its 2^n children; conforming in all dims."""
+    """Replace every element by its 2^n children, conforming in all dims:
+    NVB in 2D, path subdivision for n >= 3."""
     if mesh.dim == 2:
         return _bisect(mesh, np.ones(len(mesh.facets), dtype=bool))
-    if mesh.dim == 3:
-        return _uniform_refine_3d(mesh)
-    if mesh.dim == 4:
-        return _uniform_refine_midpoint(mesh)
-    raise UnsupportedDimension(f"no refinement scheme for dim {mesh.dim}")
+    return _uniform_refine_path(mesh)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,8 @@ coefficients of preconditioned conjugate gradients on A x = b.  It needs
 only A and P applies, no solves with P, and it stops on an a-posteriori
 bound: each end of the spectrum is within a relative Ritz residual ``tol``
 of an eigenvalue of the preconditioned operator, or the top end alone when
-the caller gives the bottom one in closed form.  The top eigenvalue of
-the pencil (L, A) is the reciprocal of the bottom end of the estimate for
-A preconditioned by L^{-1}.  The linear solves of :func:`solve_spd` run
-the same conjugate-gradient recurrence, :func:`_pcg`.
+the caller gives the bottom one in closed form.  The linear solves of
+:func:`solve_spd` run the same conjugate-gradient recurrence, :func:`_pcg`.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg.lapack import dstebz, dstein
-from scipy.sparse.linalg import inv, splu
+from scipy.sparse.linalg import splu
 
 from .assembly import (
     BasisSet,
@@ -64,6 +62,12 @@ COARSEST_ROWS = 500
 # Lanczos stops, and its step cap
 EIGS_TOL = 1e-4
 EIGS_MAX_ITER = 50_000
+
+# Lanczos on a space of at most this many dofs does not stop before step n
+# (or before r . P r vanishes): the relative Ritz bound cannot tell an
+# interior Ritz value from an end of the spectrum, and on a space this small
+# the full run costs little and its Ritz values are the whole spectrum
+FULL_LANCZOS_DIM = 20
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +421,10 @@ def extreme_eigs(
     ``iterations_*`` the number of Lanczos steps (one A apply and one P
     apply each).  The bound does not say which eigenvalue theta is near;
     with a random start, the nearest is the extreme one unless ``tol`` is
-    loose enough to stop before the end of the spectrum is resolved.
+    loose enough to stop before the end of the spectrum is resolved.  So
+    on a space of at most ``FULL_LANCZOS_DIM`` dofs the run does not stop
+    before step n (or ``max_iter``, if smaller) unless r . P r reaches 0,
+    and theta is then an eigenvalue up to rounding.
 
     ``lambda_min``, when given, is the exact smallest eigenvalue of P A
     (say from :func:`quasidiag.precond.diagonal_lambda_min`).  The run then
@@ -440,6 +447,7 @@ def extreme_eigs(
             f"lambda_min must be finite and positive, got {lambda_min}"
         )
     r = np.random.default_rng(seed).standard_normal(preconditioner.dim)
+    min_steps = min(r.size, max_iter) if r.size <= FULL_LANCZOS_DIM else 1
     steps = zip(range(1, max_iter + 1), _pcg(operator, preconditioner, r))
     diagonal, off_diagonal = [], []
     next_check = 1
@@ -462,7 +470,7 @@ def extreme_eigs(
                         iterations=k,
                     )
                 lam_min, res_min = lambda_min, 0.0
-            if max(res_max, res_min) <= tol:
+            if max(res_max, res_min) <= tol and (k >= min_steps or beta == 0.0):
                 return SpectralReport(
                     lam_max, lam_min, lam_max / lam_min, k, k, res_max, res_min
                 )
@@ -479,23 +487,6 @@ def extreme_eigs(
         f"(lambda_min {lam_min}), above tol={tol}",
         report=report,
     )
-
-
-def pencil_max_eig(
-    weighted_mass,
-    operator,
-    tol: float = EIGS_TOL,
-    max_iter: int = EIGS_MAX_ITER,
-    seed=0,
-) -> float:
-    """Largest generalized eigenvalue of L x = lambda A x.
-
-    It equals 1 / lambda_min(L^{-1} A), the bottom end of one
-    :func:`extreme_eigs` run preconditioned by L^{-1}.  L is block diagonal
-    per element, so its sparse inverse keeps the pattern of L.
-    """
-    inverse = Preconditioner(inv(sp.csc_matrix(weighted_mass)))
-    return 1.0 / extreme_eigs(operator, inverse, tol, max_iter, seed).lambda_min
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
+from conftest import pencil_max_eig
 
 from quasidiag.assembly import assemble_L, basis_set
 from quasidiag.experiments import ExperimentConfig, run_experiment
@@ -32,7 +33,6 @@ from quasidiag.spectral import (
     dense_condition_number,
     extreme_eigs,
     gram_operator,
-    pencil_max_eig,
 )
 
 ALPHA = {2: 0.01, 3: 0.01, 4: 0.1}

@@ -28,6 +28,7 @@ from quasidiag.refine import (
     _TRI_RULE_W,
     _append_midpoints,
     _path_children_pattern,
+    _uniform_refine_path,
     adaptive_refine,
     corner_singularity,
     corner_singularity_gradient,
@@ -66,7 +67,7 @@ def test_uniform_child_count_and_volume(dim):
 
 @pytest.mark.parametrize("dim", [3, 4])
 def test_uniform_children_equal_volume(dim):
-    """Red/midpoint children all inherit exactly 2^-n of the parent volume."""
+    """Path-subdivision children all inherit exactly 2^-n of the parent volume."""
     mesh = initial_mesh(dim)
     fine = uniform_refine(mesh)
     kids = fine.volumes.reshape(mesh.num_elements, 2**dim)
@@ -74,11 +75,58 @@ def test_uniform_children_equal_volume(dim):
     np.testing.assert_allclose(kids, want, rtol=1e-12, atol=0.0)
 
 
+def shape_classes(mesh):
+    """Distinct sorted edge-length ratios (over the longest) of the elements."""
+    coords = mesh.vertices[mesh.elements]
+    pairs = itertools.combinations(range(mesh.dim + 1), 2)
+    lengths = np.sort(
+        np.stack(
+            [np.linalg.norm(coords[:, i] - coords[:, j], axis=1) for i, j in pairs],
+            axis=1,
+        ),
+        axis=1,
+    )
+    ratios = np.round(lengths / lengths[:, -1:], 9)
+    return len(np.unique(ratios, axis=0))
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_uniform_conforming(dim):
-    fine = uniform_refine(initial_mesh(dim))
-    validate_mesh(fine, initial_mesh(dim))
-    assert boundary_measure(fine) == pytest.approx(BOUNDARY_AREA[dim], rel=1e-12)
+    """Every level is conforming and keeps the initial mesh's shape classes
+    (6 in the 3d L-prism, 1 in 2d and in the 4d Kuhn cube)."""
+    coarse = initial_mesh(dim)
+    fine = coarse
+    for _ in range(3 if dim < 4 else 2):
+        fine = uniform_refine(fine)
+        validate_mesh(fine, coarse)
+        assert boundary_measure(fine) == pytest.approx(
+            BOUNDARY_AREA[dim], rel=1e-12
+        )
+        assert shape_classes(fine) == shape_classes(coarse)
+
+
+@pytest.mark.parametrize("dim, levels", [(3, 3), (4, 2)])
+def test_path_refinement_keeps_a_global_vertex_order(dim, levels):
+    """The conformity argument of the path subdivision, level by level.
+
+    The initial mesh lists every element's vertex ids ascending.  Ranking
+    each fine vertex by (later end, earlier end) of its parent pair in the
+    coarse ranking, a coarse vertex v being the pair (v, v), every child
+    lists its vertices ascending again.
+    """
+    mesh = initial_mesh(dim)
+    rank = np.arange(mesh.num_vertices)
+    assert np.all(np.diff(rank[mesh.elements], axis=1) > 0)
+    for _ in range(levels):
+        mesh = uniform_refine(mesh)
+        step = mesh.ancestry[-1]
+        ends = np.concatenate(
+            [np.column_stack([rank, rank]), rank[step.parent_edges]]
+        )
+        later, earlier = ends.max(axis=1), ends.min(axis=1)
+        rank = np.empty(mesh.num_vertices, dtype=np.int64)
+        rank[np.lexsort((earlier, later))] = np.arange(mesh.num_vertices)
+        assert np.all(np.diff(rank[mesh.elements], axis=1) > 0)
 
 
 def test_uniform_two_levels_2d():
@@ -97,10 +145,8 @@ def test_uniform_3d_two_levels_counts():
 
 
 def test_midpoint_pattern_2d_matches_classic_red():
-    from quasidiag.refine import _uniform_refine_midpoint
-
     mesh = reference_simplex(2)
-    fine = _uniform_refine_midpoint(mesh)
+    fine = _uniform_refine_path(mesh)
     assert fine.num_elements == 4
     v0, v1, v2 = np.zeros(2), np.eye(2)[0], np.eye(2)[1]
     m01, m02, m12 = (v0 + v1) / 2, (v0 + v2) / 2, (v1 + v2) / 2
@@ -155,7 +201,8 @@ def test_shape_regularity_bounded(dim):
         gammas.append(shape_gamma(mesh))
         mesh = uniform_refine(mesh)
     gammas.append(shape_gamma(mesh))
-    # quality can degrade at most mildly once the octahedron pattern repeats
+    # path subdivision has finitely many similarity classes (at most n!/2,
+    # Bey 2000), so quality settles after the first level
     assert gammas[-1] <= gammas[-2] * 1.05
 
 

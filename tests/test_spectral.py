@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from conftest import pencil_max_eig
 from hypothesis import example, given, strategies as st
 from scipy.sparse.linalg import LinearOperator, lobpcg, splu
 
@@ -36,7 +37,6 @@ from quasidiag.spectral import (
     dense_condition_number,
     extreme_eigs,
     gram_operator,
-    pencil_max_eig,
     solve_spd,
 )
 
@@ -565,6 +565,21 @@ def test_extreme_eigs_on_mesh_operator(lshape2d):
     assert report.lambda_min == pytest.approx(lmin, rel=1e-3)
     assert report.lambda_max == pytest.approx(lmax, rel=1e-3)
     assert_ritz_bounds_hold(report, 1e-8, lmin, lmax)
+
+
+def test_extreme_eigs_runs_a_small_space_to_the_end(lshape2d):
+    # the start vector of `quasidiag --dim 2 --levels 1 --seed 157000`: the
+    # relative Ritz bound met tol at step 9 of 12 on an interior Ritz value,
+    # kappa 5.004 against the dense 5.316
+    op = gram_operator(lshape2d, "hm1", 0, beta=0.1)
+    P = quasi_diagonal_preconditioner(lshape2d, "hm1", 0, alpha=0.01)
+    assert op.dim <= spectral.FULL_LANCZOS_DIM
+    seed = np.random.SeedSequence(157000, spawn_key=(1, 0))
+    report = extreme_eigs(op, P, seed=seed)
+    lmin, lmax, kappa = dense_condition_number(op, P)
+    assert report.iterations_max >= op.dim
+    assert report.kappa == pytest.approx(kappa, rel=1e-2)
+    assert report.lambda_max == pytest.approx(lmax, rel=1e-2)
 
 
 def test_extreme_eigs_agrees_with_lobpcg_mid_size(lshape2d):
